@@ -72,13 +72,21 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _pick(args: argparse.Namespace, data: dict, name: str, default):
+def _cast(kind, what: str, value):
+    """kind(value), with a value of the wrong JSON type reported as invalid."""
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, not {value!r}") from None
+
+
+def _pick(args: argparse.Namespace, data: dict, name: str, default, kind=float):
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in data and data[name] is not None:
-        return data[name]
-    return default
+    if value is None:
+        value = data.get(name)
+    if value is None:
+        return default
+    return _cast(kind, f"config key {name!r}", value)
 
 
 def _quad_spec(args: argparse.Namespace, data: dict) -> QuadratureSpec:
@@ -94,23 +102,25 @@ def _quad_spec(args: argparse.Namespace, data: dict) -> QuadratureSpec:
             fields[key] = value
     fields.setdefault("base_order", 8)
     fields.setdefault("rel_tol", 1e-8)
-    return QuadratureSpec(**fields)
+    try:
+        return QuadratureSpec(**fields)
+    except TypeError:
+        raise ValueError(f"config key 'quad' must hold numbers, not {fields!r}") from None
 
 
 def _experiment_config(args: argparse.Namespace, data: dict) -> ExperimentConfig:
-    smooth = _pick(args, data, "smooth_halfwidth", None)
     return ExperimentConfig(
-        m=int(_pick(args, data, "m", 2)),
-        p=float(_pick(args, data, "p", 2.0)),
-        k=float(_pick(args, data, "k", 3.0)),
-        n_teeth=int(_pick(args, data, "n", 1)),
-        C1=float(_pick(args, data, "C1", 1.0)),
-        C2=float(_pick(args, data, "C2", 1.0)),
+        m=_pick(args, data, "m", 2, int),
+        p=_pick(args, data, "p", 2.0),
+        k=_pick(args, data, "k", 3.0),
+        n_teeth=_pick(args, data, "n", 1, int),
+        C1=_pick(args, data, "C1", 1.0),
+        C2=_pick(args, data, "C2", 1.0),
         quad=_quad_spec(args, data),
-        smooth_halfwidth=None if smooth is None else float(smooth),
-        r_cap=float(_pick(args, data, "r_cap", 2e5)),
-        strip_samples=int(_pick(args, data, "strip_samples", 2048)),
-        envelope_samples=int(_pick(args, data, "envelope_samples", 512)),
+        smooth_halfwidth=_pick(args, data, "smooth_halfwidth", None),
+        r_cap=_pick(args, data, "r_cap", 2e5),
+        strip_samples=_pick(args, data, "strip_samples", 2048, int),
+        envelope_samples=_pick(args, data, "envelope_samples", 512, int),
     )
 
 
@@ -254,19 +264,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(grid, dict) or set(grid) != _GRID_KEYS:
         raise ValueError(f"config key 'grid' must be an object with keys {sorted(_GRID_KEYS)}")
 
-    def int_axis(name: str) -> list[int]:
+    def axis(name: str) -> list[float]:
         values = grid[name]
-        if not all(float(v).is_integer() for v in values):
+        if not isinstance(values, list):
+            raise ValueError(f"grid axis '{name}' must be a list")
+        return [_cast(float, f"grid axis '{name}' entry", v) for v in values]
+
+    def int_axis(name: str) -> list[int]:
+        values = axis(name)
+        if not all(v.is_integer() for v in values):
             raise ValueError(f"grid axis '{name}' must hold integers")
         return [int(v) for v in values]
 
     base = _experiment_config(args, data)
-    workers = args.workers if args.workers is not None else int(data.get("workers", 1))
+    workers = args.workers
+    if workers is None:
+        workers = _cast(int, "config key 'workers'", data.get("workers", 1))
     rows = sweep(
         base,
         int_axis("m"),
-        [float(v) for v in grid["p"]],
-        [float(v) for v in grid["k"]],
+        axis("p"),
+        axis("k"),
         int_axis("n"),
         workers=workers,
     )

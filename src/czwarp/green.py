@@ -75,14 +75,12 @@ class GreenFunction:
         knots = profile.knots
         pts.append(knots[(knots > 1.0) & (knots < self.r_max)])
         ratio = math.exp(_FILL_LOG_SPACING)
-        for p, kind in zip(profile.pieces, profile.piece_kinds):
-            if kind != POWER:
-                continue
-            lo = max(p.t0, 1.0)
-            hi = min(p.t1, self.r_max)
+        for i in np.flatnonzero(profile.piece_kinds == POWER):
+            lo = max(profile.piece_t0[i], 1.0)
+            hi = min(profile.piece_t1[i], self.r_max)
             if not lo < hi:
                 continue
-            c = p.params[0]
+            c = profile.piece_params[i, 0]
             count = int(math.log((hi + c) / (lo + c)) / _FILL_LOG_SPACING)
             if count >= 1:
                 fills = (lo + c) * ratio ** np.arange(1, count + 1) - c

@@ -26,13 +26,9 @@ from .warping import _smoothstep
 __all__ = [
     "InvalidDelta",
     "CutoffFunction",
-    "build_cutoff",
     "TestFunction",
     "HessianValue",
     "hessian_components",
-    "u_eval",
-    "hessian_at",
-    "laplacian_at",
     "volume_integral",
     "lp_norm_pow",
     "NormsReport",
@@ -100,10 +96,6 @@ class CutoffFunction:
         return phi, dphi, d2phi
 
 
-def build_cutoff(delta: float = DELTA_UNIVERSAL) -> CutoffFunction:
-    return CutoffFunction(delta)
-
-
 @dataclass(frozen=True)
 class HessianValue:
     """Radial/tangential Hessian eigenvalues; tangential has multiplicity m-1."""
@@ -155,30 +147,49 @@ class TestFunction:
     def s_many(self, r: np.ndarray) -> np.ndarray:
         return self.green.value_many(r) - self.k
 
-    def _chain(self, r: np.ndarray):
-        """One evaluation sweep: cutoff at s = G(r) - k plus the warp triple."""
+    def _sweep(self, r: np.ndarray):
+        """phi, phi', phi'' at s = G(r) - k and sigma, sigma', once per node."""
         r = np.asarray(r, dtype=float)
-        s = self.s_many(r)
-        phi, dphi, d2phi = self.cutoff.eval_many(s)
+        phi, dphi, d2phi = self.cutoff.eval_many(self.s_many(r))
         sigma, dsigma, _ = self.green.profile.eval_many(r)
         return phi, dphi, d2phi, sigma, dsigma
+
+    def _chain(
+        self, dphi: np.ndarray, d2phi: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(u', u'') by the chain rule through G' = sigma^(1-m)."""
+        m = self.green.profile.config.m
+        gp = sigma ** (1 - m)
+        return dphi * gp, d2phi * gp**2 + dphi * (1 - m) * sigma ** (-m) * dsigma
+
+    def field_many(self, r: np.ndarray, field: str) -> tuple[np.ndarray, np.ndarray]:
+        """(field values, sigma) for field u, laplacian or hessian.
+
+        The Laplacian is the collapsed green_identity form and the Hessian
+        its frame norm; sigma comes back as the volume weight's base.
+        """
+        phi, dphi, d2phi, sigma, dsigma = self._sweep(r)
+        m = self.green.profile.config.m
+        if field == "u":
+            return phi, sigma
+        if field == "laplacian":
+            return d2phi * sigma ** (2 - 2 * m), sigma
+        if field == "hessian":
+            du, d2u = self._chain(dphi, d2phi, sigma, dsigma)
+            radial, tangential = hessian_components(du, d2u, sigma, dsigma)
+            return np.sqrt(radial**2 + (m - 1) * tangential**2), sigma
+        raise ValueError(f"unknown field {field!r}")
 
     def derivatives_many(
         self, r: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, u', u'') from the chain rule through G."""
-        phi, dphi, d2phi, sigma, dsigma = self._chain(r)
-        m = self.green.profile.config.m
-        gp = sigma ** (1 - m)
-        gpp = (1 - m) * sigma ** (-m) * dsigma
-        return phi, dphi * gp, d2phi * gp**2 + dphi * gpp
+        phi, dphi, d2phi, sigma, dsigma = self._sweep(r)
+        return (phi, *self._chain(dphi, d2phi, sigma, dsigma))
 
     def hessian_many(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi, dphi, d2phi, sigma, dsigma = self._chain(r)
-        m = self.green.profile.config.m
-        gp = sigma ** (1 - m)
-        du = dphi * gp
-        d2u = d2phi * gp**2 + dphi * (1 - m) * sigma ** (-m) * dsigma
+        _, dphi, d2phi, sigma, dsigma = self._sweep(r)
+        du, d2u = self._chain(dphi, d2phi, sigma, dsigma)
         return hessian_components(du, d2u, sigma, dsigma)
 
     def laplacian_many(self, r: np.ndarray, route: str = "direct") -> np.ndarray:
@@ -188,34 +199,34 @@ class TestFunction:
                        left to floating point
         green_identity phi''(G - k) * sigma^(2 - 2m), the collapsed form
         """
-        m = self.green.profile.config.m
         if route == "direct":
             radial, tangential = self.hessian_many(r)
-            return radial + (m - 1) * tangential
+            return radial + (self.green.profile.config.m - 1) * tangential
         if route == "green_identity":
-            r = np.asarray(r, dtype=float)
-            s = self.s_many(r)
-            d2phi = self.cutoff.eval_many(s)[2]
-            sigma = self.green.profile.eval_many(r)[0]
-            return d2phi * sigma ** (2 - 2 * m)
+            return self.field_many(r, "laplacian")[0]
         raise ValueError(f"unknown Laplacian route {route!r}")
 
 
-def u_eval(tf: TestFunction, r: float) -> float:
-    return float(tf.derivatives_many(np.asarray([float(r)]))[0][0])
+def _weighted_integral(
+    profile, f_sigma, a: float, b: float, breakpoints, spec: QuadratureSpec
+) -> tuple[float, float]:
+    """gamma_m * integral of f(r) sigma^(m-1) dr, where f_sigma(r) = (f, sigma)."""
+    m = profile.config.m
+    gamma = profile.config.gamma_m
 
+    def integrand(r: np.ndarray) -> np.ndarray:
+        f, sigma = f_sigma(r)
+        return f * sigma ** (m - 1)
 
-def hessian_at(tf: TestFunction, r: float) -> HessianValue:
-    radial, tangential = tf.hessian_many(np.asarray([float(r)]))
-    return HessianValue(
-        radial=float(radial[0]),
-        tangential=float(tangential[0]),
-        multiplicity=tf.green.profile.config.m - 1,
+    value, err = integrate(
+        integrand,
+        a,
+        b,
+        breakpoints=breakpoints,
+        spec=spec,
+        slivers=profile.blend_spans_in(a, b),
     )
-
-
-def laplacian_at(tf: TestFunction, r: float, route: str = "direct") -> float:
-    return float(tf.laplacian_many(np.asarray([float(r)]), route=route)[0])
+    return gamma * value, gamma * err
 
 
 def volume_integral(
@@ -226,22 +237,14 @@ def volume_integral(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """gamma_m * integral of f(r) sigma^(m-1) dr with knot-aware panels."""
-    m = profile.config.m
-    gamma = profile.config.gamma_m
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        sigma = profile.eval_many(r)[0]
-        return f_many(r) * sigma ** (m - 1)
-
-    value, err = integrate(
-        integrand,
+    return _weighted_integral(
+        profile,
+        lambda r: (f_many(r), profile.eval_many(r)[0]),
         a,
         b,
-        breakpoints=profile.knots_in(a, b),
-        spec=spec,
-        slivers=profile.blend_spans_in(a, b),
+        profile.knots_in(a, b),
+        spec,
     )
-    return gamma * value, gamma * err
 
 
 def _validate_p(p: float) -> float:
@@ -252,22 +255,6 @@ def _validate_p(p: float) -> float:
             "classical theory and are not handled here"
         )
     return p
-
-
-def _field_many(tf: TestFunction, field: str):
-    if field == "u":
-        return lambda r: tf.derivatives_many(r)[0]
-    if field == "laplacian":
-        return lambda r: tf.laplacian_many(r, route="green_identity")
-    if field == "hessian":
-        m = tf.green.profile.config.m
-
-        def frame(r: np.ndarray) -> np.ndarray:
-            radial, tangential = tf.hessian_many(r)
-            return np.sqrt(radial**2 + (m - 1) * tangential**2)
-
-        return frame
-    raise ValueError(f"unknown field {field!r}")
 
 
 def _norm_breakpoints(tf: TestFunction) -> np.ndarray:
@@ -287,24 +274,14 @@ def lp_norm_pow(
 ) -> tuple[float, float]:
     """(||field||_p^p, error bound) over the support bracket [Ginv(k), Ginv(k+1)]."""
     p = _validate_p(p)
-    f = _field_many(tf, field)
-    profile = tf.green.profile
-    m = profile.config.m
-    gamma = profile.config.gamma_m
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        sigma = profile.eval_many(r)[0]
-        return np.abs(f(r)) ** p * sigma ** (m - 1)
+    def f_sigma(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, sigma = tf.field_many(r, field)
+        return np.abs(f) ** p, sigma
 
-    value, err = integrate(
-        integrand,
-        tf.r_lo,
-        tf.r_hi,
-        breakpoints=_norm_breakpoints(tf),
-        spec=spec,
-        slivers=profile.blend_spans_in(tf.r_lo, tf.r_hi),
+    return _weighted_integral(
+        tf.green.profile, f_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
     )
-    return gamma * value, gamma * err
 
 
 @dataclass(frozen=True)
@@ -358,23 +335,30 @@ def _s_panels(tf: TestFunction) -> tuple[np.ndarray, list[tuple[float, float]]]:
     return np.concatenate(pts), slivers
 
 
+def _s_integral(
+    tf: TestFunction, column: int, p: float, sigma_pow: float, spec: QuadratureSpec
+) -> tuple[float, float]:
+    """Integral over s in [0,1] of |phi^(column)|^p sigma(Ginv(k+s))^sigma_pow."""
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        f = tf.cutoff.eval_many(s)[column]
+        r = tf.green.inverse_many(tf.k + s)
+        sigma = tf.green.profile.eval_many(r)[0]
+        return np.abs(f) ** p * sigma ** sigma_pow
+
+    brk, slivers = _s_panels(tf)
+    return integrate(
+        integrand, 0.0, 1.0, breakpoints=brk, spec=spec, slivers=slivers
+    )
+
+
 def s_integral_u(
     tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> tuple[float, float]:
     """I_u = integral over s in [0,1] of |phi|^p sigma(Ginv(k+s))^(2(m-1))."""
     p = _validate_p(p)
     m = tf.green.profile.config.m
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        phi = tf.cutoff.eval_many(s)[0]
-        r = tf.green.inverse_many(tf.k + s)
-        sigma = tf.green.profile.eval_many(r)[0]
-        return np.abs(phi) ** p * sigma ** (2 * (m - 1))
-
-    brk, slivers = _s_panels(tf)
-    return integrate(
-        integrand, 0.0, 1.0, breakpoints=brk, spec=spec, slivers=slivers
-    )
+    return _s_integral(tf, 0, p, 2 * (m - 1), spec)
 
 
 def s_integral_laplacian(
@@ -383,17 +367,7 @@ def s_integral_laplacian(
     """I_lap = integral over s of |phi''|^p sigma(Ginv(k+s))^((2-2p)(m-1))."""
     p = _validate_p(p)
     m = tf.green.profile.config.m
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        d2phi = tf.cutoff.eval_many(s)[2]
-        r = tf.green.inverse_many(tf.k + s)
-        sigma = tf.green.profile.eval_many(r)[0]
-        return np.abs(d2phi) ** p * sigma ** ((2.0 - 2.0 * p) * (m - 1))
-
-    brk, slivers = _s_panels(tf)
-    return integrate(
-        integrand, 0.0, 1.0, breakpoints=brk, spec=spec, slivers=slivers
-    )
+    return _s_integral(tf, 2, p, (2.0 - 2.0 * p) * (m - 1), spec)
 
 
 def audit_norm_chain(

@@ -7,7 +7,8 @@ A profile is a contiguous table of closed-form pieces on [0, inf):
           curve's value, slope and curvature at t = 1
   POWER   (t + c)^alpha, the background curve (c = 1/2 keeps it mid-strip)
   LINEAR  sawtooth teeth and the short connector ramps
-  BLEND   smoothstep mix of the two neighbouring formulas across a corner
+  BLEND   smoothstep mix of the two neighbouring rows' formulas across a
+          corner; it carries no params of its own
 
 Every corner is replaced by a BLEND of halfwidth smooth_halfwidth.  The
 smoothstep s(x) = B(x) / (B(x) + B(1-x)) with B(x) = exp(-1/x) satisfies
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "build_base_profile",
     "plan_window",
     "insert_sawtooth",
-    "eval_sigma",
     "audit_strip",
     "profile_to_json",
     "profile_from_json",
@@ -123,18 +123,14 @@ class Piece:
       POWER   (c,)                      sigma = (t + c)^alpha
       LINEAR  (t_ref, y_ref, slope)     sigma = y_ref + slope*(t - t_ref)
       CAP     (a3, a4, a5)              sigma = t + a3 t^3 + a4 t^4 + a5 t^5
-      BLEND   (kindL, pL0, pL1, pL2, kindR, pR0, pR1, pR2)
+      BLEND   ()                        smoothstep mix of the previous and
+                                        the next piece's formulas
     """
 
     kind: int
     t0: float
     t1: float
     params: tuple
-
-
-def _pad3(params: Sequence[float]) -> tuple[float, float, float]:
-    out = list(float(x) for x in params) + [0.0, 0.0, 0.0]
-    return tuple(out[:3])
 
 
 # smoothstep region below which exp(-1/x) is zero to double precision
@@ -197,26 +193,6 @@ def _plain_formula(
     raise ValueError(f"unknown plain piece kind {kind}")
 
 
-def _side_eval(
-    pp: np.ndarray, t: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the formulas referenced inside BLEND params (columns k,p0,p1,p2)."""
-    y = np.empty_like(t)
-    dy = np.empty_like(t)
-    d2y = np.empty_like(t)
-    kinds = pp[:, 0].astype(np.int64)
-    for kind in (POWER, LINEAR, CAP):
-        mask = kinds == kind
-        if np.any(mask):
-            yv, d1, d2 = _plain_formula(
-                kind, pp[mask, 1], pp[mask, 2], pp[mask, 3], t[mask], alpha
-            )
-            y[mask] = yv
-            dy[mask] = d1
-            d2y[mask] = d2
-    return y, dy, d2y
-
-
 class WarpingProfile:
     """Immutable piecewise profile tiling [0, inf)."""
 
@@ -238,18 +214,25 @@ class WarpingProfile:
                 raise ValueError(f"pieces must tile contiguously at t = {left.t1!r}")
             if not left.t0 < left.t1:
                 raise ValueError("pieces must have positive width")
+        n = len(pieces)
+        kind_arr = np.fromiter((p.kind for p in pieces), dtype=np.int64, count=n)
+        blend = kind_arr == BLEND
+        if blend[0] or blend[-1]:
+            raise ValueError("a BLEND piece needs a neighbour on each side")
+        if np.any(blend[1:] & blend[:-1]):
+            raise ValueError("BLEND pieces may not be adjacent")
         self.config = config
         self.pieces = pieces
         self.windows = tuple(sorted(windows, key=lambda wdw: wdw.z))
 
-        n = len(pieces)
-        kind_arr = np.fromiter((p.kind for p in pieces), dtype=np.int64, count=n)
         t0_arr = np.fromiter((p.t0 for p in pieces), dtype=float, count=n)
         t1_arr = np.fromiter((p.t1 for p in pieces), dtype=float, count=n)
-        params = np.zeros((n, 8))
+        params = np.zeros((n, 3))
         for i, p in enumerate(pieces):
-            vals = np.asarray(p.params, dtype=float)
-            params[i, : vals.size] = vals
+            if len(p.params):
+                if p.kind == BLEND:
+                    raise ValueError("BLEND pieces take no params")
+                params[i, : len(p.params)] = p.params
         for arr in (kind_arr, t0_arr, t1_arr, params):
             arr.flags.writeable = False
         self.piece_kinds = kind_arr
@@ -275,9 +258,10 @@ class WarpingProfile:
         idx = np.searchsorted(self.piece_t0, t, side="right") - 1
         return np.clip(idx, 0, len(self.pieces) - 1)
 
-    def _eval_rows(
+    def _eval_plain(
         self, rows: np.ndarray, t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed-form POWER, LINEAR and CAP rows; BLEND entries are left unset."""
         alpha = self.config.alpha
         y = np.empty_like(t)
         dy = np.empty_like(t)
@@ -293,7 +277,13 @@ class WarpingProfile:
                 y[mask] = yv
                 dy[mask] = d1
                 d2y[mask] = d2
-        mask = kinds == BLEND
+        return y, dy, d2y
+
+    def _eval_rows(
+        self, rows: np.ndarray, t: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        y, dy, d2y = self._eval_plain(rows, t)
+        mask = self.piece_kinds[rows] == BLEND
         if np.any(mask):
             rws = rows[mask]
             tm = t[mask]
@@ -301,8 +291,8 @@ class WarpingProfile:
             width = self.piece_t1[rws] - t0
             x = (tm - t0) / width
             s, sp, spp = _smoothstep(x)
-            yl, dl, d2l = _side_eval(pp[mask, 0:4], tm, alpha)
-            yr, dr, d2r = _side_eval(pp[mask, 4:8], tm, alpha)
+            yl, dl, d2l = self._eval_plain(rws - 1, tm)
+            yr, dr, d2r = self._eval_plain(rws + 1, tm)
             y[mask] = yl + s * (yr - yl)
             dy[mask] = dl + s * (dr - dl) + (sp / width) * (yr - yl)
             d2y[mask] = (
@@ -341,11 +331,6 @@ class WarpingProfile:
             "slope": np.abs(left[1] - right[1]),
             "curvature": np.abs(left[2] - right[2]),
         }
-
-
-def eval_sigma(profile: WarpingProfile, t: float) -> tuple[float, float, float]:
-    """(sigma(t), sigma'(t), sigma''(t))."""
-    return profile.eval(t)
 
 
 def _cap_coefficients(alpha: float) -> tuple[float, float, float]:
@@ -543,9 +528,7 @@ def _assemble_with_blends(
             raise CubeDoesNotFit("smoothing halfwidth swallows a whole piece")
         pieces.append(Piece(kind, a, b, params))
         if i < last:
-            nkind, nparams = intervals[i + 1][2], intervals[i + 1][3]
-            blend = (float(kind), *_pad3(params), float(nkind), *_pad3(nparams))
-            pieces.append(Piece(BLEND, b, tb + halfwidth, blend))
+            pieces.append(Piece(BLEND, b, tb + halfwidth, ()))
     return pieces
 
 

@@ -178,6 +178,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "n_teeth" in capsys.readouterr().err
 
 
+_GRID = {"m": [2], "p": [2.0], "k": [2.0], "n": [1]}
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("build", {"m": [2]}),
+        ("build", {"quad": {"base_order": "x"}}),
+        ("sweep", {"workers": None, "grid": _GRID}),
+        ("sweep", {"grid": {**_GRID, "p": [None]}}),
+        ("sweep", {"grid": {**_GRID, "p": 2.0}}),
+    ],
+    ids=["list-m", "string-quad-order", "null-workers", "null-grid-value", "scalar-grid-axis"],
+)
+def test_wrongly_typed_config_value_exits_one(tmp_path, capsys, command, doc):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(doc))
+    argv = [command, "--config", str(config)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert "must" in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     config = tmp_path / "one.json"
     config.write_text(json.dumps({"m": 3, "k": 2.0, "n": 8}))

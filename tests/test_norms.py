@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import czwarp.norms as norms_module
 from czwarp.green import DELTA_UNIVERSAL, GreenFunction, find_h
 from czwarp.norms import (
     CutoffFunction,
@@ -197,6 +198,33 @@ def test_i_u_sandwich_closed_form():
     upper = math.e**2 * (F(1.0) - F(0.0))
     iu, err = s_integral_u(tf, 2.0, SPEC)
     assert lower - err <= iu <= upper + err
+
+
+@pytest.mark.parametrize("field", ["u", "laplacian", "hessian"])
+def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
+    # the field kernel hands sigma to the volume weight, so the profile sees
+    # each quadrature node exactly once
+    tf = sawtooth_tf(2, 2.0, 8)
+    counts = {"sigma": 0, "integrand": 0}
+    eval_many = WarpingProfile.eval_many
+    integrate = norms_module.integrate
+
+    def counting_eval_many(self, t):
+        counts["sigma"] += np.size(t)
+        return eval_many(self, t)
+
+    def counting_integrate(f, *args, **kwargs):
+        def counted(x):
+            counts["integrand"] += np.size(x)
+            return f(x)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(WarpingProfile, "eval_many", counting_eval_many)
+    monkeypatch.setattr(norms_module, "integrate", counting_integrate)
+    lp_norm_pow(tf, field, 2.0, SPEC)
+    assert counts["integrand"] > 0
+    assert counts["sigma"] == counts["integrand"]
 
 
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])

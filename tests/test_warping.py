@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from czwarp.warping import (
+    BLEND,
     CAP,
     LINEAR,
     POWER,
@@ -289,3 +290,34 @@ def test_piece_table_invariants():
                 Piece(POWER, 1.5, math.inf, (0.5,)),
             ),
         )
+    # a BLEND row mixes the formulas of the rows on either side of it, so it
+    # needs a plain neighbour on each side and carries no params of its own
+    power = (0.5,)
+    joined = WarpingProfile(
+        cfg,
+        (
+            Piece(POWER, 0.0, 2.0, power),
+            Piece(BLEND, 2.0, 2.1, ()),
+            Piece(POWER, 2.1, math.inf, power),
+        ),
+    )
+    assert joined.piece_params.shape == (3, 3)
+    assert joined.eval(2.05) == (2.05 + 0.5, 1.0, 0.0)
+    bad_tables = [
+        (Piece(BLEND, 0.0, 1.0, ()), Piece(POWER, 1.0, math.inf, power)),
+        (Piece(POWER, 0.0, 1.0, power), Piece(BLEND, 1.0, math.inf, ())),
+        (
+            Piece(POWER, 0.0, 1.0, power),
+            Piece(BLEND, 1.0, 1.1, ()),
+            Piece(BLEND, 1.1, 1.2, ()),
+            Piece(POWER, 1.2, math.inf, power),
+        ),
+        (
+            Piece(POWER, 0.0, 1.0, power),
+            Piece(BLEND, 1.0, 1.1, (POWER, 0.5, 0.0, 0.0, POWER, 0.5, 0.0, 0.0)),
+            Piece(POWER, 1.1, math.inf, power),
+        ),
+    ]
+    for pieces in bad_tables:
+        with pytest.raises(ValueError, match="BLEND"):
+            WarpingProfile(cfg, pieces)
