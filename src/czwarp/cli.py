@@ -247,6 +247,7 @@ def _cmd_violate(args: argparse.Namespace) -> int:
         "C2": cfg.C2,
         "n_max": args.n_max,
         "probes": len(trace),
+        "probed": [r.config.n_teeth for r in trace],
         "n_star": n_star,
     }
     if n_star is not None:

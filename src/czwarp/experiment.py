@@ -2,9 +2,12 @@
 
 run_experiment builds the manifold for one (m, p, k, n) cell, re-verifies the
 window placement on the final profile, runs the strip and envelope audits, and
-compares the inequality sides.  search_min_n grows the tooth count until the
-Hessian side wins.  sweep runs a grid of cells (optionally across threads) and
-always assembles rows in grid order so the CSV is reproducible byte for byte.
+compares the inequality sides.  search_min_n doubles the tooth count until the
+Hessian side wins, then closes the bracket around the crossing with probes
+placed by the ratio's linear law in n^p (lhs ~ A + B n^p, rhs ~ constant) and
+certified at n* - 1 and n*.  sweep runs a grid of cells (optionally across
+threads) and always assembles rows in grid order so the CSV is reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ __all__ = [
 # connector only lowers sigma, so G(z) >= k + delta holds with strict sign
 # and the slack absorbs table roundoff alone
 BRACKET_SLACK = 1e-9
+
+# probes the minimal-n bracket search may spend beyond what plain bisection
+# of the same bracket needs, however wrong its model of the ratio is
+SPARE_PROBES = 4
 
 
 class AuditFailed(RuntimeError):
@@ -163,17 +170,48 @@ def run_experiment(cfg: ExperimentConfig) -> CZReport:
     )
 
 
+def _predict_crossing(lo: int, hi: int, r_lo: float, r_hi: float, p: float) -> int | None:
+    """Smallest n the bracket ends call violated, with the ratio linear in n^p.
+
+    None unless r_lo <= 1 < r_hi with r_hi finite, the only case in which
+    the ends fit the model.  Works in x = (n / hi)^p so that hi^p cannot
+    overflow at large p.
+    """
+    if not r_lo <= 1.0 < r_hi < math.inf:
+        return None
+    x_lo = (lo / hi) ** p
+    x = x_lo + (1.0 - r_lo) / (r_hi - r_lo) * (1.0 - x_lo)
+    return math.ceil(hi * x ** (1.0 / p))
+
+
 def search_min_n(
     cfg: ExperimentConfig, n_max: int
 ) -> tuple[int | None, list[CZReport]]:
     """Smallest tooth count violating the inequality, or None up to n_max.
 
-    Doubling scan from n = 1, then bisection between the last clean probe
-    and the first violating one.  Bisection trusts the ratio only if the
+    Doubling scan from n = 1, then a bracket search between the last clean
+    probe and the first violating one.  The bracket is refined only if the
     doubling trace was strictly increasing from n = 32 on (below that the
     cutoff-ramp mass dominates and the ratio wobbles at the 1e-5 level);
-    otherwise the first scan hit is returned unrefined.  cfg.n_teeth is
-    ignored by the search.
+    otherwise the first scan hit is returned unrefined.
+
+    Inside the bracket the u and Laplacian masses barely move while the
+    Hessian mass is A + B n^p, so the ratio is close to linear in n^p.  A
+    guided step interpolates the crossing from the bracket ends and probes
+    its ceiling, then interpolates again from the bracket that probe left
+    and probes the other side of the crossing: the ceiling after a clean
+    probe, one below it after a violated one.  When the model is exact that
+    second probe is the first one's neighbour and certifies n* - 1 and n*;
+    when the model is a fraction of a tooth off, the second interpolation,
+    made next to the crossing, corrects it.  The model is used only while
+    the clean end's ratio is at most 1 and the violated end's is finite (a
+    failed audit can leave a clean probe with ratio above 1); otherwise the
+    step probes the midpoint.  Guided steps stop once bisection could no
+    longer finish within SPARE_PROBES of its own count for the starting
+    bracket, ceil(log2(hi - lo)), so a wrong model costs at most that many
+    extra probes.  The loop ends with adjacent probed ends, so whenever
+    `violated` is monotone on the bracket the result equals plain
+    bisection's.  cfg.n_teeth is ignored by the search.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -204,14 +242,37 @@ def search_min_n(
         return first_hit, trace
 
     lo, hi = prev_clean, first_hit
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        report = run_experiment(replace(cfg, n_teeth=mid))
+    r_lo, r_hi = (trace[-2].ratio if lo else math.nan), trace[-1].ratio
+
+    def probe(n: int) -> bool:
+        nonlocal lo, hi, r_lo, r_hi
+        report = run_experiment(replace(cfg, n_teeth=n))
         trace.append(report)
         if report.violated:
-            hi = mid
+            hi, r_hi = n, report.ratio
         else:
-            lo = mid
+            lo, r_lo = n, report.ratio
+        return report.violated
+
+    def inside(n: int) -> int:
+        return min(max(n, lo + 1), hi - 1)
+
+    # bisection closes a bracket of width w in (w - 1).bit_length() probes;
+    # a guided step (at most two probes) is taken only while bisection from
+    # whatever bracket it leaves would still finish within the budget
+    budget = len(trace) + (hi - lo - 1).bit_length() + SPARE_PROBES
+    while hi - lo > 1:
+        guided = len(trace) + 2 + (hi - lo - 1).bit_length() <= budget
+        n = _predict_crossing(lo, hi, r_lo, r_hi, cfg.p) if guided else None
+        if n is None:
+            probe((lo + hi) // 2)
+            continue
+        violated = probe(inside(n))
+        n = _predict_crossing(lo, hi, r_lo, r_hi, cfg.p) if hi - lo > 1 else None
+        if n is not None:
+            # the other side of the crossing, re-predicted from the new end;
+            # under an exact model this is the first probe's neighbour
+            probe(inside(n - 1 if violated else n))
     return hi, trace
 
 

@@ -14,6 +14,7 @@ k-explicit bounds that the audit chain verifies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,9 +51,10 @@ class CutoffFunction:
         if not 0.0 < delta < 0.5:
             raise InvalidDelta(f"delta = {delta!r} outside (0, 1/2)")
         self.delta = float(delta)
-        self.sup_d2 = self._scan_sup_d2()
 
-    def _scan_sup_d2(self) -> float:
+    @functools.cached_property
+    def sup_d2(self) -> float:
+        """sup|phi''| over both ramps (20001 points each), scanned on first use."""
         d = self.delta
         grid = np.concatenate(
             [

@@ -115,6 +115,7 @@ def test_violate_found_writes_trace(tmp_path, capsys):
     assert list(records[0].keys()) == list(CSV_COLUMNS)
     assert len(records) == 1
     assert records[0]["violated"] == "true"
+    assert doc["probed"] == [int(r["n"]) for r in records] == [1]
 
 
 def test_violate_not_found_exits_two(capsys):

@@ -135,12 +135,17 @@ def test_search_weak_constants_finds_first_probe():
     assert trace[0].violated
 
 
-def _fake_search_reports(ratios: dict[int, float], monkeypatch) -> None:
+def _fake_search_reports(
+    ratios: dict[int, float], monkeypatch, failed_audits: frozenset[int] = frozenset()
+) -> None:
+    # a probe in failed_audits comes back clean whatever its ratio, as
+    # run_experiment reports a construction whose audits failed
     template = report_cell(2, 2.0, 3.0, 1)
 
     def fake(cfg: ExperimentConfig) -> CZReport:
         ratio = ratios[cfg.n_teeth]
-        return replace(template, config=cfg, ratio=ratio, violated=ratio > 1.0)
+        violated = ratio > 1.0 and cfg.n_teeth not in failed_audits
+        return replace(template, config=cfg, ratio=ratio, violated=violated)
 
     monkeypatch.setattr(experiment_module, "run_experiment", fake)
 
@@ -164,6 +169,101 @@ def test_search_keeps_first_hit_when_tail_wobbles(monkeypatch):
     n_star, trace = search_min_n(BASE, 128)
     assert n_star == 128
     assert [r.config.n_teeth for r in trace] == [1, 2, 4, 8, 16, 32, 64, 128]
+
+
+def _bracket_probes(trace: list[CZReport]) -> list[int]:
+    # probes after the doubling scan, which stops at its first violated probe
+    first_hit = next(i for i, r in enumerate(trace) if r.violated)
+    return [r.config.n_teeth for r in trace[first_hit + 1 :]]
+
+
+def _assert_certified_crossing(n_star: int, trace: list[CZReport], ratios, failed=()):
+    # the minimal violating n of a monotone verdict, which plain bisection returns
+    expected = min(n for n, r in ratios.items() if r > 1.0 and n not in failed)
+    assert n_star == expected
+    by_n = {r.config.n_teeth: r for r in trace}
+    assert by_n[n_star].violated is True
+    assert by_n[n_star - 1].violated is False
+
+
+@pytest.mark.parametrize(
+    "p, crossings",
+    [
+        (1.5, (5.5, 100.2, 809.7, 4420.3, 10298.6)),
+        (2.0, (3.3, 60.1, 1509.9, 2211.5, 7777.7)),
+        (4.0, (12.9, 129.6, 256.8, 808.4, 3000.1)),
+        # at p = 80 the scan tail below the crossing stays distinguishable
+        # from the constant only within a factor of about 1.6 of it
+        (80.0, (33.3, 47.9, 66.6, 99.5)),
+    ],
+)
+def test_search_interpolates_a_power_law_crossing(p, crossings, monkeypatch):
+    # ratio = (A + B n^p) / R, the law the u, Laplacian and Hessian masses follow
+    for c in crossings:
+        ratios = {n: 0.07 + 0.93 * (n / c) ** p for n in range(1, int(2 * c) + 2)}
+        _fake_search_reports(ratios, monkeypatch)
+        n_star, trace = search_min_n(replace(BASE, p=p), 2**14)
+        _assert_certified_crossing(n_star, trace, ratios)
+        assert len(_bracket_probes(trace)) <= 4, (c, _bracket_probes(trace))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+def test_search_corrects_a_slightly_wrong_exponent(p, monkeypatch):
+    # the data grow as n^q with q up to 5% off the p the search interpolates
+    # in, so the first guided probe can miss n* by several teeth
+    for q in (0.95 * p, 0.98 * p, 1.02 * p, 1.05 * p):
+        for c in (100.3, 809.7, 1509.9, 2211.5, 4420.3, 7906.6, 10298.6):
+            ratios = {n: 0.07 + 0.93 * (n / c) ** q for n in range(1, int(2 * c) + 2)}
+            _fake_search_reports(ratios, monkeypatch)
+            n_star, trace = search_min_n(replace(BASE, p=p), 2**14)
+            _assert_certified_crossing(n_star, trace, ratios)
+            assert len(_bracket_probes(trace)) <= 4, (q, c, _bracket_probes(trace))
+
+
+@pytest.mark.parametrize("p", [2.0, 80.0])
+def test_search_bounds_probes_when_the_model_is_wrong(p, monkeypatch):
+    # a step from `low` to `high` at c: the interpolated crossing misses it,
+    # and the bracket [1024, 2048] may cost at most plain bisection's 10
+    # probes plus 4
+    for low, high in ((0.5, 2.0), (0.999, 1e6), (1e-6, 1.001)):
+        for c in (1025, 1100, 1448, 1449, 1536, 1900, 2020, 2047, 2048):
+            # the tiny slope keeps the scan tail strictly increasing
+            ratios = {n: (low if n < c else high) + 1e-9 * n for n in range(1, 2049)}
+            _fake_search_reports(ratios, monkeypatch)
+            n_star, trace = search_min_n(replace(BASE, p=p), 2048)
+            _assert_certified_crossing(n_star, trace, ratios)
+            assert len(_bracket_probes(trace)) <= 10 + 4, (low, high, c)
+
+
+def test_search_interpolates_without_overflow_at_large_p(monkeypatch):
+    # 32768.0 ** 80 overflows a float; the bracket [16384, 32768] must not
+    ratios = {n: n / 20000.5 for n in range(1, 2**15 + 1)}
+    _fake_search_reports(ratios, monkeypatch)
+    n_star, trace = search_min_n(replace(BASE, p=80.0), 2**15)
+    _assert_certified_crossing(n_star, trace, ratios)
+    assert len(_bracket_probes(trace)) <= 14 + 4
+
+
+@pytest.mark.parametrize(
+    "crossing, failed, first_probes",
+    [
+        # the guided probe is clean with ratio above 1, so the model is
+        # dropped for the certificate and for the next step
+        (900.5, range(901, 1000), [901, (901 + 1024) // 2]),
+        # the scan's last clean probe already has ratio above 1
+        (400.5, range(401, 1000), [(512 + 1024) // 2]),
+    ],
+)
+def test_search_falls_back_to_the_midpoint_after_a_failed_audit(
+    crossing, failed, first_probes, monkeypatch
+):
+    ratios = {n: 0.07 + 0.93 * (n / crossing) ** 2 for n in range(1, 1025)}
+    _fake_search_reports(ratios, monkeypatch, frozenset(failed))
+    n_star, trace = search_min_n(BASE, 1024)
+    _assert_certified_crossing(n_star, trace, ratios, failed)
+    assert n_star == 1000
+    probed = _bracket_probes(trace)
+    assert probed[: len(first_probes)] == first_probes
 
 
 def test_search_refines_the_real_crossing():

@@ -97,6 +97,32 @@ def test_sup_d2_above_ramp_lower_bound():
     assert cut.sup_d2 >= 4.0 / half**2
 
 
+@pytest.mark.parametrize("delta", [DELTA_UNIVERSAL, 0.1, 0.3])
+def test_sup_d2_scanned_on_first_use(delta, monkeypatch):
+    calls = []
+    eval_many = CutoffFunction.eval_many
+
+    def counting(self, s):
+        calls.append(np.size(s))
+        return eval_many(self, s)
+
+    monkeypatch.setattr(CutoffFunction, "eval_many", counting)
+    cut = CutoffFunction(delta)
+    assert calls == []
+    sup = cut.sup_d2
+    assert calls == [40002]
+    assert cut.sup_d2 is sup
+    assert calls == [40002]
+    # the scan the constructor used to run eagerly, bit for bit
+    grid = np.concatenate(
+        [
+            np.linspace(0.5 * delta, delta, 20001),
+            np.linspace(1.0 - delta, 1.0 - 0.5 * delta, 20001),
+        ]
+    )
+    assert sup == float(np.max(np.abs(eval_many(cut, grid)[2])))
+
+
 def test_u_derivative_fixture_pure_power():
     # sigma = t, m = 2, k = 1: on the plateau u = log r - 1, so at r = e^1.5
     # u = 1/2, u' = 1/r = e^-1.5, u'' = -1/r^2 = -e^-3
