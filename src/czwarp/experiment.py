@@ -6,7 +6,8 @@ compares the inequality sides.  search_min_n doubles the tooth count until the
 Hessian side wins, then closes the bracket around the crossing with probes
 placed by the ratio's linear law in n^p (lhs ~ A + B n^p, rhs ~ constant) and
 certified at n* - 1 and n*.  sweep runs a grid of cells (optionally across
-threads) and always assembles rows in grid order so the CSV is reproducible
+threads), builds and audits each construction once for all the p values that
+share it, and always assembles rows in grid order so the CSV is reproducible
 byte for byte.
 """
 
@@ -137,19 +138,38 @@ def build_construction(
     return h, window, green, r_max
 
 
-def run_experiment(cfg: ExperimentConfig) -> CZReport:
+Construction = tuple[tuple[float, SawtoothWindow, GreenFunction, float], BoundAudit]
+
+
+def _audited_construction(cfg: ExperimentConfig) -> Construction:
+    """build_construction's result with its strip and envelope audits.
+
+    Neither depends on p, C1, C2 or quad, so cells that differ only in
+    those can share it.
+    """
+    built = build_construction(cfg)
+    _, _, green, r_max = built
+    audit = BoundAudit()
+    audit.extend(audit_strip(green.profile, 1.0, r_max, samples=cfg.strip_samples))
+    audit.extend(audit_green_bounds(green, samples=cfg.envelope_samples))
+    return built, audit
+
+
+def run_experiment(
+    cfg: ExperimentConfig, construction: Construction | None = None
+) -> CZReport:
     """Build, audit and measure one configuration.
+
+    construction, if given, is an audited construction of a cell that
+    differs from cfg at most in p, C1, C2 or quad; it is used instead of a
+    fresh build, and the report gets its own copy of the audit.
 
     Audit failures do not raise: the report comes back flagged with
     violated forced to False so a broken construction can never claim a
     counterexample.
     """
-    h, window, green, r_max = build_construction(cfg)
-    profile = green.profile
-
-    audit = BoundAudit()
-    audit.extend(audit_strip(profile, 1.0, r_max, samples=cfg.strip_samples))
-    audit.extend(audit_green_bounds(green, samples=cfg.envelope_samples))
+    (h, window, green, _), shared = construction or _audited_construction(cfg)
+    audit = BoundAudit(list(shared.entries))
 
     tf = TestFunction(cfg.k, CutoffFunction(), green)
     norms = norms_report(tf, cfg.p, cfg.quad)
@@ -288,14 +308,24 @@ class SweepRow:
     error: str = ""
 
 
-def _run_cell(cfg: ExperimentConfig) -> SweepRow:
+def _error_row(cfg: ExperimentConfig, exc: Exception) -> SweepRow:
+    return SweepRow(cfg.m, cfg.p, cfg.k, cfg.n_teeth, None, f"{type(exc).__name__}: {exc}")
+
+
+def _run_group(cfgs: list[ExperimentConfig]) -> list[SweepRow]:
+    """Cells sharing (m, k, n): one audited build, then each cell's norms."""
     try:
-        report = run_experiment(cfg)
-        return SweepRow(cfg.m, cfg.p, cfg.k, cfg.n_teeth, report)
+        construction = _audited_construction(cfgs[0])
     except Exception as exc:
-        return SweepRow(
-            cfg.m, cfg.p, cfg.k, cfg.n_teeth, None, f"{type(exc).__name__}: {exc}"
-        )
+        return [_error_row(cfg, exc) for cfg in cfgs]
+    rows = []
+    for cfg in cfgs:
+        try:
+            report = run_experiment(cfg, construction=construction)
+            rows.append(SweepRow(cfg.m, cfg.p, cfg.k, cfg.n_teeth, report))
+        except Exception as exc:
+            rows.append(_error_row(cfg, exc))
+    return rows
 
 
 def sweep(
@@ -306,7 +336,11 @@ def sweep(
     ns: list[int],
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Run every (m, p, k, n) cell; row order always equals grid order."""
+    """Run every (m, p, k, n) cell; row order always equals grid order.
+
+    Cells that differ only in p share one audited construction: each
+    (m, k, n) group is one task, built once and then measured for every p.
+    """
     if not (ms and ps and ks and ns):
         raise ValueError("sweep grid must be nonempty on every axis")
     cells = [
@@ -316,10 +350,20 @@ def sweep(
         for k in ks
         for n in ns
     ]
+    groups: dict[tuple[int, float, int], list[int]] = {}
+    for i, cfg in enumerate(cells):
+        groups.setdefault((cfg.m, cfg.k, cfg.n_teeth), []).append(i)
+    tasks = [[cells[i] for i in idx] for idx in groups.values()]
     if workers <= 1:
-        return [_run_cell(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells))
+        results = [_run_group(t) for t in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_group, tasks))
+    rows: list[SweepRow] = [None] * len(cells)
+    for idx, group_rows in zip(groups.values(), results):
+        for i, row in zip(idx, group_rows):
+            rows[i] = row
+    return rows
 
 
 CSV_COLUMNS = (

@@ -9,7 +9,10 @@ component sigma' u' / sigma.
 Norms use the rotationally invariant weight: ||f||_p^p is gamma_m times the
 integral of |f|^p sigma^(m-1) dr over the support bracket.  The same
 quantities in the Green coordinate s (the I-integrals below) admit the
-k-explicit bounds that the audit chain verifies.
+k-explicit bounds that the audit chain verifies.  norms_report integrates u,
+Delta u and the Hessian as three columns of one quadrature pass, and the
+audit chain does the same for I_u and I_lap, so phi, sigma and sigma' are
+evaluated once per node for all of them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -164,23 +168,30 @@ class TestFunction:
         gp = sigma ** (1 - m)
         return dphi * gp, d2phi * gp**2 + dphi * (1 - m) * sigma ** (-m) * dsigma
 
-    def field_many(self, r: np.ndarray, field: str) -> tuple[np.ndarray, np.ndarray]:
-        """(field values, sigma) for field u, laplacian or hessian.
+    def fields_many(
+        self, r: np.ndarray, fields: Sequence[str]
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(values of each named field, sigma) from one sweep over r.
 
-        The Laplacian is the collapsed green_identity form and the Hessian
-        its frame norm; sigma comes back as the volume weight's base.
+        Fields are u, laplacian and hessian: the Laplacian is the collapsed
+        green_identity form and the Hessian its frame norm.  sigma comes
+        back as the volume weight's base.
         """
         phi, dphi, d2phi, sigma, dsigma = self._sweep(r)
         m = self.green.profile.config.m
-        if field == "u":
-            return phi, sigma
-        if field == "laplacian":
-            return d2phi * sigma ** (2 - 2 * m), sigma
-        if field == "hessian":
-            du, d2u = self._chain(dphi, d2phi, sigma, dsigma)
-            radial, tangential = hessian_components(du, d2u, sigma, dsigma)
-            return np.sqrt(radial**2 + (m - 1) * tangential**2), sigma
-        raise ValueError(f"unknown field {field!r}")
+        values = []
+        for field in fields:
+            if field == "u":
+                values.append(phi)
+            elif field == "laplacian":
+                values.append(d2phi * sigma ** (2 - 2 * m))
+            elif field == "hessian":
+                du, d2u = self._chain(dphi, d2phi, sigma, dsigma)
+                radial, tangential = hessian_components(du, d2u, sigma, dsigma)
+                values.append(np.sqrt(radial**2 + (m - 1) * tangential**2))
+            else:
+                raise ValueError(f"unknown field {field!r}")
+        return tuple(values), sigma
 
     def derivatives_many(
         self, r: np.ndarray
@@ -205,22 +216,26 @@ class TestFunction:
             radial, tangential = self.hessian_many(r)
             return radial + (self.green.profile.config.m - 1) * tangential
         if route == "green_identity":
-            return self.field_many(r, "laplacian")[0]
+            return self.fields_many(r, ("laplacian",))[0][0]
         raise ValueError(f"unknown Laplacian route {route!r}")
 
 
-def _weighted_integral(
-    profile, f_sigma, a: float, b: float, breakpoints, spec: QuadratureSpec
-) -> tuple[float, float]:
-    """gamma_m * integral of f(r) sigma^(m-1) dr, where f_sigma(r) = (f, sigma)."""
+def _weighted_integrals(
+    profile, fields_sigma, a: float, b: float, breakpoints, spec: QuadratureSpec
+) -> list[tuple[float, float]]:
+    """gamma_m * integral of f(r) sigma^(m-1) dr for each f, in one pass.
+
+    fields_sigma(r) returns (tuple of f values, sigma).
+    """
     m = profile.config.m
     gamma = profile.config.gamma_m
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        f, sigma = f_sigma(r)
-        return f * sigma ** (m - 1)
+    def integrand(r: np.ndarray) -> tuple[np.ndarray, ...]:
+        fields, sigma = fields_sigma(r)
+        weight = sigma ** (m - 1)
+        return tuple(f * weight for f in fields)
 
-    value, err = integrate(
+    result = integrate(
         integrand,
         a,
         b,
@@ -228,7 +243,7 @@ def _weighted_integral(
         spec=spec,
         slivers=profile.blend_spans_in(a, b),
     )
-    return gamma * value, gamma * err
+    return [(gamma * value, gamma * err) for value, err in result.columns]
 
 
 def volume_integral(
@@ -239,14 +254,14 @@ def volume_integral(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """gamma_m * integral of f(r) sigma^(m-1) dr with knot-aware panels."""
-    return _weighted_integral(
+    return _weighted_integrals(
         profile,
-        lambda r: (f_many(r), profile.eval_many(r)[0]),
+        lambda r: ((f_many(r),), profile.eval_many(r)[0]),
         a,
         b,
         profile.knots_in(a, b),
         spec,
-    )
+    )[0]
 
 
 def _validate_p(p: float) -> float:
@@ -268,6 +283,21 @@ def _norm_breakpoints(tf: TestFunction) -> np.ndarray:
     return np.concatenate([transitions, knots])
 
 
+def _lp_norms_pow(
+    tf: TestFunction, fields: Sequence[str], p: float, spec: QuadratureSpec
+) -> list[tuple[float, float]]:
+    """(||field||_p^p, error bound) of each named field, in one pass over r."""
+    p = _validate_p(p)
+
+    def fields_sigma(r: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        values, sigma = tf.fields_many(r, fields)
+        return tuple(np.abs(f) ** p for f in values), sigma
+
+    return _weighted_integrals(
+        tf.green.profile, fields_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
+    )
+
+
 def lp_norm_pow(
     tf: TestFunction,
     field: str,
@@ -275,15 +305,7 @@ def lp_norm_pow(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """(||field||_p^p, error bound) over the support bracket [Ginv(k), Ginv(k+1)]."""
-    p = _validate_p(p)
-
-    def f_sigma(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, sigma = tf.field_many(r, field)
-        return np.abs(f) ** p, sigma
-
-    return _weighted_integral(
-        tf.green.profile, f_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
-    )
+    return _lp_norms_pow(tf, (field,), p, spec)[0]
 
 
 @dataclass(frozen=True)
@@ -305,9 +327,10 @@ class NormsReport:
 def norms_report(
     tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> NormsReport:
-    u_pow, u_err = lp_norm_pow(tf, "u", p, spec)
-    lap_pow, lap_err = lp_norm_pow(tf, "laplacian", p, spec)
-    hess_pow, hess_err = lp_norm_pow(tf, "hessian", p, spec)
+    """The three norms of the inequality, integrated together in one pass."""
+    (u_pow, u_err), (lap_pow, lap_err), (hess_pow, hess_err) = _lp_norms_pow(
+        tf, ("u", "laplacian", "hessian"), p, spec
+    )
     return NormsReport(
         p=float(p),
         k=tf.k,
@@ -337,39 +360,44 @@ def _s_panels(tf: TestFunction) -> tuple[np.ndarray, list[tuple[float, float]]]:
     return np.concatenate(pts), slivers
 
 
-def _s_integral(
-    tf: TestFunction, column: int, p: float, sigma_pow: float, spec: QuadratureSpec
-) -> tuple[float, float]:
-    """Integral over s in [0,1] of |phi^(column)|^p sigma(Ginv(k+s))^sigma_pow."""
+def _s_integrals(
+    tf: TestFunction, fields: Sequence[str], p: float, spec: QuadratureSpec
+) -> list[tuple[float, float]]:
+    """I_u and/or I_lap, as named by fields, in one pass over s in [0, 1].
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        f = tf.cutoff.eval_many(s)[column]
+    Each is the integral of |phi^(j)|^p sigma(Ginv(k+s))^e, with (j, e) =
+    (0, 2(m-1)) for u and (2, (2-2p)(m-1)) for the Laplacian.
+    """
+    p = _validate_p(p)
+    m = tf.green.profile.config.m
+    terms = {"u": (0, 2 * (m - 1)), "laplacian": (2, (2.0 - 2.0 * p) * (m - 1))}
+    picked = [terms[f] for f in fields]
+
+    def integrand(s: np.ndarray) -> tuple[np.ndarray, ...]:
+        phi = tf.cutoff.eval_many(s)
         r = tf.green.inverse_many(tf.k + s)
         sigma = tf.green.profile.eval_many(r)[0]
-        return np.abs(f) ** p * sigma ** sigma_pow
+        return tuple(np.abs(phi[j]) ** p * sigma**e for j, e in picked)
 
     brk, slivers = _s_panels(tf)
-    return integrate(
+    result = integrate(
         integrand, 0.0, 1.0, breakpoints=brk, spec=spec, slivers=slivers
     )
+    return list(result.columns)
 
 
 def s_integral_u(
     tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> tuple[float, float]:
     """I_u = integral over s in [0,1] of |phi|^p sigma(Ginv(k+s))^(2(m-1))."""
-    p = _validate_p(p)
-    m = tf.green.profile.config.m
-    return _s_integral(tf, 0, p, 2 * (m - 1), spec)
+    return _s_integrals(tf, ("u",), p, spec)[0]
 
 
 def s_integral_laplacian(
     tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> tuple[float, float]:
     """I_lap = integral over s of |phi''|^p sigma(Ginv(k+s))^((2-2p)(m-1))."""
-    p = _validate_p(p)
-    m = tf.green.profile.config.m
-    return _s_integral(tf, 2, p, (2.0 - 2.0 * p) * (m - 1), spec)
+    return _s_integrals(tf, ("laplacian",), p, spec)[0]
 
 
 def audit_norm_chain(
@@ -390,11 +418,10 @@ def audit_norm_chain(
     m = tf.green.profile.config.m
     audit = BoundAudit()
 
-    iu, iu_err = s_integral_u(tf, p, spec)
+    (iu, iu_err), (il, il_err) = _s_integrals(tf, ("u", "laplacian"), p, spec)
     bound_u = 2.0 * math.exp(2.0 * k + 2.0) if m == 2 else 4.0 * math.exp(2.0 * (k + 1.0))
     audit.add("u_mass_upper", (iu + iu_err - bound_u) / bound_u, k, 0.0)
 
-    il, il_err = s_integral_laplacian(tf, p, spec)
     bound_l = tf.cutoff.sup_d2**p * math.exp(-2.0 * (p - 1.0) * k)
     audit.add("laplacian_mass_upper", (il + il_err - bound_l) / bound_l, k, 0.0)
 

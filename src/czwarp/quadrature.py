@@ -8,7 +8,11 @@ estimate exceeds their share of the tolerance.  Panel values are combined
 left to right with exact summation, so identical inputs give bit-identical
 results regardless of available parallelism.
 
-Integrands must be vectorized: f(x: ndarray) -> ndarray.
+Integrands must be vectorized: f(x: ndarray) -> ndarray, or a tuple of
+ndarrays for several integrands over the same panels.  Such columns share the
+breakpoints and the depth-0 evaluation, which is where nearly all the nodes
+are, and each column then keeps its own error budget and refinement, so it
+comes out bit-identical to integrating it alone.
 """
 
 from __future__ import annotations
@@ -24,14 +28,21 @@ __all__ = [
     "QuadratureNotConverged",
     "AuditEntry",
     "BoundAudit",
+    "Integral",
     "integrate",
 ]
 
-# panels per evaluation batch; bounds peak memory, not results
-_CHUNK = 32768
+# panels per evaluation batch; bounds peak memory.  Batches start on
+# multiples of 4, the BLAS gemv row block, so a panel's weighted sum does not
+# depend on the batch size, except for a lone last panel: numpy sums a single
+# row outside gemv, which may round differently
+_CHUNK = 16384
 # error floor relative to the panel value, so reported errors never
 # understate plain rounding noise
 _NOISE = 2.0 ** -50
+
+# an integrand's values at the nodes: one array, or a tuple of columns
+Columns = np.ndarray | tuple[np.ndarray, ...]
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -85,21 +96,25 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _columns(f: Callable[[np.ndarray], Columns], x: np.ndarray) -> tuple[np.ndarray, ...]:
+    out = f(x)
+    return out if isinstance(out, tuple) else (out,)
+
+
 def _panel_pass(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], Columns],
     lo: np.ndarray,
     hi: np.ndarray,
     order: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refined panel values and error estimates.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Refined panel values and error estimates, one pair per column of f.
 
     Value is the two-half composite; error is its distance to the single
     whole-panel rule, plus a rounding-noise floor.
     """
     nodes, weights = _rule(order)
     n = lo.size
-    value = np.empty(n)
-    err = np.empty(n)
+    passes: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         a = lo[sl]
@@ -107,26 +122,48 @@ def _panel_pass(
         width = b - a
         mid = a + 0.5 * width
 
-        def rule_on(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+        def rule_on(x0: np.ndarray, x1: np.ndarray) -> list[np.ndarray]:
             pts = x0[:, None] + (x1 - x0)[:, None] * nodes[None, :]
-            vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-            return (x1 - x0) * (vals @ weights)
+            return [
+                (x1 - x0) * (np.asarray(v, dtype=float).reshape(pts.shape) @ weights)
+                for v in _columns(f, pts.reshape(-1))
+            ]
 
         whole = rule_on(a, b)
-        halves = rule_on(a, mid) + rule_on(mid, b)
-        value[sl] = halves
-        err[sl] = np.abs(whole - halves) + _NOISE * np.abs(halves)
-    return value, err
+        left = rule_on(a, mid)
+        right = rule_on(mid, b)
+        if not passes:
+            passes = [(np.empty(n), np.empty(n)) for _ in whole]
+        for (value, err), w, lh, rh in zip(passes, whole, left, right):
+            halves = lh + rh
+            value[sl] = halves
+            err[sl] = np.abs(w - halves) + _NOISE * np.abs(halves)
+    return passes
+
+
+class Integral(tuple):
+    """(value, error) of an integrand's first column.
+
+    Unpacks like the plain pair; .columns holds the (value, error) pair of
+    every column, first column first.
+    """
+
+    columns: tuple[tuple[float, float], ...]
+
+    def __new__(cls, columns: Sequence[tuple[float, float]]) -> "Integral":
+        self = super().__new__(cls, columns[0])
+        self.columns = tuple(columns)
+        return self
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], Columns],
     a: float,
     b: float,
     breakpoints: Iterable[float] = (),
     spec: QuadratureSpec = QuadratureSpec(),
     slivers: Iterable[tuple[float, float]] = (),
-) -> tuple[float, float]:
+) -> Integral:
     """Integrate f over [a, b] with panels split at the given breakpoints.
 
     Returns (value, error_estimate).  The estimate is a sum of per-panel
@@ -135,6 +172,13 @@ def integrate(
     breakpoints.  Breakpoints outside (a, b) are dropped; duplicates are
     merged.  Raises QuadratureNotConverged when a panel still exceeds its
     error share at max_depth.
+
+    f may return a tuple of arrays instead of one array: several integrands
+    over the same nodes.  The columns share the panels and the depth-0
+    evaluation; from there each keeps its own budget, refinement and sum,
+    so each column's pair is bit-identical to integrating that column alone.
+    The result is the first column's pair, and .columns holds them all.  A
+    column that cannot converge raises for its own panel, columns in order.
 
     slivers are disjoint subintervals the caller certifies as negligible:
     panels so thin that their entire contribution sits far below the
@@ -169,15 +213,34 @@ def integrate(
 
     lo = edges[:-1].copy()
     hi = edges[1:].copy()
-    total_len = b - a
+    first = _panel_pass(f, lo, hi, spec.base_order)
+    return Integral(
+        [
+            _refine(lambda x, c=c: _columns(f, x)[c], lo, hi, value, err, b - a, sliv, spec)
+            for c, (value, err) in enumerate(first)
+        ]
+    )
 
+
+def _refine(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    value: np.ndarray,
+    err: np.ndarray,
+    total_len: float,
+    sliv: np.ndarray,
+    spec: QuadratureSpec,
+) -> tuple[float, float]:
+    """Accept or bisect one column's panels from its depth-0 pass to the sum."""
     done_lo: list[np.ndarray] = []
     done_val: list[np.ndarray] = []
     done_err: list[np.ndarray] = []
     done_abs_sum = 0.0
 
     for depth in range(spec.max_depth + 1):
-        value, err = _panel_pass(f, lo, hi, spec.base_order)
+        if depth:
+            ((value, err),) = _panel_pass(f, lo, hi, spec.base_order)
         abs_val = np.abs(value)
         scale = done_abs_sum + float(np.sum(abs_val))
         budget = max(spec.abs_tol, spec.rel_tol * scale)

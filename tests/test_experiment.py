@@ -299,6 +299,50 @@ def test_sweep_is_deterministic_across_workers(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_builds_each_construction_once(monkeypatch, tmp_path):
+    # p does not enter the construction, so a 2-p grid builds once per
+    # (m, k, n) and its rows equal those of cells built one by one
+    built = []
+    build = experiment_module.build_construction
+
+    def counting(cfg):
+        built.append((cfg.m, cfg.k, cfg.n_teeth))
+        return build(cfg)
+
+    monkeypatch.setattr(experiment_module, "build_construction", counting)
+    base = replace(BASE, k=2.0)
+    grid = dict(ms=[2, 3], ps=[1.5, 2.0], ks=[2.0], ns=[1, 4])
+    rows = sweep(base, workers=1, **grid)
+    assert sorted(built) == [(m, 2.0, n) for m in (2, 3) for n in (1, 4)]
+    separate = [
+        SweepRow(
+            r.m, r.p, r.k, r.n_teeth,
+            run_experiment(replace(base, m=r.m, p=r.p, n_teeth=r.n_teeth)),
+        )
+        for r in rows
+    ]
+    a, b = tmp_path / "grouped.csv", tmp_path / "separate.csv"
+    write_csv(rows, str(a))
+    write_csv(separate, str(b))
+    assert a.read_bytes() == b.read_bytes()
+    # each report owns its audit
+    assert len({id(r.report.audit) for r in rows}) == len(rows)
+
+
+def test_sweep_construction_error_fills_every_p_row():
+    base = replace(BASE, k=2.0)
+    with pytest.raises(Exception) as exc:
+        run_experiment(replace(base, k=13.0, n_teeth=2))
+    want = f"{type(exc.value).__name__}: {exc.value}"
+    rows = sweep(base, [2], [1.5, 2.0, 4.0], [2.0, 13.0], [2], workers=2)
+    assert [(r.p, r.k) for r in rows] == [(p, k) for p in (1.5, 2.0, 4.0) for k in (2.0, 13.0)]
+    for row in rows:
+        if row.k == 13.0:
+            assert row.report is None and row.error == want
+        else:
+            assert row.report is not None and row.error == ""
+
+
 def test_sweep_isolates_per_cell_errors():
     # k=13 needs a Green table past the radius cap; only that row may fail
     rows = sweep(replace(BASE, k=2.0), [2], [2.0], [2.0, 13.0], [2], workers=2)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import czwarp.norms as norms_module
+from czwarp.experiment import ExperimentConfig, build_construction
 from czwarp.green import DELTA_UNIVERSAL, GreenFunction, find_h
 from czwarp.norms import (
     CutoffFunction,
@@ -226,10 +227,11 @@ def test_i_u_sandwich_closed_form():
     assert lower - err <= iu <= upper + err
 
 
-@pytest.mark.parametrize("field", ["u", "laplacian", "hessian"])
+@pytest.mark.parametrize("field", ["u", "laplacian", "hessian", "norms_report"])
 def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
     # the field kernel hands sigma to the volume weight, so the profile sees
-    # each quadrature node exactly once
+    # each quadrature node exactly once; norms_report forms all three fields
+    # from that one evaluation
     tf = sawtooth_tf(2, 2.0, 8)
     counts = {"sigma": 0, "integrand": 0}
     eval_many = WarpingProfile.eval_many
@@ -248,7 +250,16 @@ def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
 
     monkeypatch.setattr(WarpingProfile, "eval_many", counting_eval_many)
     monkeypatch.setattr(norms_module, "integrate", counting_integrate)
-    lp_norm_pow(tf, field, 2.0, SPEC)
+    if field == "norms_report":
+        for single in ("u", "laplacian", "hessian"):
+            lp_norm_pow(tf, single, 2.0, SPEC)
+        separate = counts["integrand"]
+        counts.update(sigma=0, integrand=0)
+        norms_report(tf, 2.0, SPEC)
+        # the depth-0 pass is shared instead of run once per field
+        assert counts["integrand"] < separate
+    else:
+        lp_norm_pow(tf, field, 2.0, SPEC)
     assert counts["integrand"] > 0
     assert counts["sigma"] == counts["integrand"]
 
@@ -299,3 +310,49 @@ def test_norms_report_fields():
     assert rep.norm_u_p_pow == u and rep.err_u == ue
     assert rep.quad_err == max(rep.err_u, rep.err_lap, rep.err_hess)
     assert rep.p == 2.0 and rep.k == 2.0
+
+
+# repr of every number below, recorded before the three norms and the two
+# s-integrals shared one quadrature pass; a change that moves any bit fails
+# here, and an intended numeric change must update these openly
+GOLDEN = {
+    (2, 2.0, 64): (
+        (6827.666815287771, 480.17818224399116, 485.94241846001603),
+        (2.9879456817497603e-07, 5.324113175477281e-07, 5.319903744694232e-07),
+        (1086.6569234375522, 4.988981738100227e-08),
+        (76.42273126901247, 8.729442448567447e-08),
+        (-0.8177336064092219, -0.9992320926200681),
+    ),
+    (3, 1.5, 257): (
+        (16110.591013124827, 1092.0377080638327, 1156.979763624409),
+        (1.840670702727545e-05, 5.13049235072768e-08, 1.2536240717468416e-07),
+        (1282.0400979090214, 4.227144017878836e-06),
+        (86.90159964055162, 4.8681849367284375e-09),
+        (-0.8924808645652493, -0.9965394051074663),
+    ),
+    (4, 4.0, 130): (
+        (12638.798589239615, 1166.8933808764414, 14010.295953410203),
+        (3.9207248869066544e-07, 1.5930718601144198e-06, 3.8655999976256464e-05),
+        (640.2890164366191, 8.713800921439994e-08),
+        (59.11550926741432, 1.6990706644860332e-09),
+        (-0.9463017409749565, -0.999997592086405),
+    ),
+}
+
+
+@pytest.mark.parametrize("m,p,n", list(GOLDEN), ids=[f"m{m}-p{p}-n{n}" for m, p, n in GOLDEN])
+def test_golden_numbers(m: int, p: float, n: int):
+    cfg = ExperimentConfig(m=m, p=p, k=3.0, n_teeth=n)
+    _, _, green, _ = build_construction(cfg)
+    tf = TestFunction(cfg.k, CutoffFunction(), green)
+    norms, errs, i_u, i_lap, chain = GOLDEN[(m, p, n)]
+    rep = norms_report(tf, p, cfg.quad)
+    got = (rep.norm_u_p_pow, rep.norm_lap_p_pow, rep.norm_hess_p_pow)
+    assert [repr(x) for x in got] == [repr(x) for x in norms]
+    got = (rep.err_u, rep.err_lap, rep.err_hess)
+    assert [repr(x) for x in got] == [repr(x) for x in errs]
+    assert repr(tuple(s_integral_u(tf, p, cfg.quad))) == repr(i_u)
+    assert repr(tuple(s_integral_laplacian(tf, p, cfg.quad))) == repr(i_lap)
+    entries = {e.name: e.worst_violation for e in audit_norm_chain(tf, p, cfg.quad).entries}
+    got = (entries["u_mass_upper"], entries["laplacian_mass_upper"])
+    assert [repr(x) for x in got] == [repr(x) for x in chain]

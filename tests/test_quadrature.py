@@ -157,3 +157,54 @@ def test_bound_audit_bookkeeping():
     audit.add("broken", 0.25, 2.0, 1e-12)
     assert not audit.overall_pass
     assert [e.name for e in audit.failures()] == ["broken"]
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(x.size)
+        return f(x)
+
+    return g
+
+
+def test_columns_match_single_column_integrals_bit_for_bit():
+    # a smooth column, a column with an unregistered kink and a near-singular
+    # one: they refine to different depths but share the depth-0 pass
+    cols = [
+        np.exp,
+        lambda x: np.abs(x - 1.0 / 3.0),
+        lambda x: 1.0 / np.sqrt(x + 1e-4),
+    ]
+    spec = QuadratureSpec(base_order=8, rel_tol=1e-9)
+    kwargs = dict(breakpoints=(0.25, 0.5), spec=spec, slivers=[(0.7, 0.7 + 1e-12)])
+    fused = integrate(lambda x: tuple(f(x) for f in cols), 0.0, 1.0, **kwargs)
+    assert len(fused.columns) == 3
+    assert tuple(fused) == fused.columns[0]
+    nodes = []
+    for f, pair in zip(cols, fused.columns):
+        calls = []
+        alone = integrate(_counted(f, calls), 0.0, 1.0, **kwargs)
+        assert repr(tuple(alone)) == repr(pair)
+        assert alone.columns == (tuple(alone),)
+        nodes.append(sum(calls))
+    assert len(set(nodes)) == 3
+
+
+def test_failing_column_raises_for_its_own_panel():
+    spec = QuadratureSpec(base_order=4, rel_tol=1e-14, max_depth=3)
+    bad = lambda x: np.sin(1.0 / np.maximum(x, 1e-300))
+    with pytest.raises(QuadratureNotConverged) as alone:
+        integrate(bad, 1e-6, 1.0, spec=spec)
+    with pytest.raises(QuadratureNotConverged) as fused:
+        integrate(lambda x: (x**2, bad(x), np.exp(x)), 1e-6, 1.0, spec=spec)
+    assert fused.value.panel == alone.value.panel
+    assert fused.value.err == alone.value.err
+    assert fused.value.share == alone.value.share
+
+
+def test_result_unpacks_to_a_float_pair():
+    value, err = integrate(np.exp, 0.0, 1.0)
+    assert type(value) is float and type(err) is float
+    value, err = integrate(lambda x: (np.exp(x), x), 0.0, 1.0)
+    assert type(value) is float and type(err) is float
+    assert (value, err) == integrate(np.exp, 0.0, 1.0)
