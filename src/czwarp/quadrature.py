@@ -34,8 +34,8 @@ __all__ = [
 
 # panels per evaluation batch; bounds peak memory.  Batches start on
 # multiples of 4, the BLAS gemv row block, so a panel's weighted sum does not
-# depend on the batch size, except for a lone last panel: numpy sums a single
-# row outside gemv, which may round differently
+# depend on the batch size.  numpy sums a single row outside gemv, which may
+# round differently, so a lone last panel joins the batch before it
 _CHUNK = 16384
 # error floor relative to the panel value, so reported errors never
 # understate plain rounding noise
@@ -115,8 +115,11 @@ def _panel_pass(
     nodes, weights = _rule(order)
     n = lo.size
     passes: list[tuple[np.ndarray, np.ndarray]] = []
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
+    stops = [*range(_CHUNK, n, _CHUNK), n]
+    if n > 1 and n % _CHUNK == 1:
+        del stops[-2]
+    for start, stop in zip([0, *stops], stops):
+        sl = slice(start, stop)
         a = lo[sl]
         b = hi[sl]
         width = b - a

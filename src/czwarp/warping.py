@@ -23,6 +23,7 @@ may be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,7 +42,6 @@ __all__ = [
     "FootprintOutOfRange",
     "ManifoldConfig",
     "SawtoothWindow",
-    "Piece",
     "WarpingProfile",
     "build_base_profile",
     "plan_window",
@@ -99,7 +99,6 @@ class SawtoothWindow:
     z: float
     width: float
     n_teeth: int
-    step: float
     amplitude: float
     base: float
     smooth_halfwidth: float
@@ -107,30 +106,13 @@ class SawtoothWindow:
     def __post_init__(self):
         if self.n_teeth < 1:
             raise ValueError("n_teeth must be >= 1")
-        if not 2 * self.n_teeth * self.step == self.width or not self.step > 0:
-            # step is always derived as width / (2 n); keep the invariant loud
-            if abs(2 * self.n_teeth * self.step - self.width) > 1e-12 * max(1.0, self.width):
-                raise ValueError("step must equal width / (2 * n_teeth)")
         if not 0.0 < self.smooth_halfwidth < 0.5 * self.step:
             raise ValueError("smooth_halfwidth must lie in (0, step/2)")
 
-
-@dataclass(frozen=True)
-class Piece:
-    """One closed-form segment [t0, t1).
-
-    params by kind:
-      POWER   (c,)                      sigma = (t + c)^alpha
-      LINEAR  (t_ref, y_ref, slope)     sigma = y_ref + slope*(t - t_ref)
-      CAP     (a3, a4, a5)              sigma = t + a3 t^3 + a4 t^4 + a5 t^5
-      BLEND   ()                        smoothstep mix of the previous and
-                                        the next piece's formulas
-    """
-
-    kind: int
-    t0: float
-    t1: float
-    params: tuple
+    @property
+    def step(self) -> float:
+        """Half a tooth: the footprint split into 2 n_teeth equal runs."""
+        return self.width / (2.0 * self.n_teeth)
 
 
 # smoothstep region below which exp(-1/x) is zero to double precision
@@ -194,51 +176,69 @@ def _plain_formula(
 
 
 class WarpingProfile:
-    """Immutable piecewise profile tiling [0, inf)."""
+    """Immutable piecewise profile tiling [0, inf), stored as a piece table.
+
+    Row i has kind piece_kinds[i] and covers [piece_t0[i], piece_t1[i]), where
+    piece_t1 is piece_t0 shifted by one row with inf last, so the rows tile by
+    construction.  piece_params has three columns; by kind:
+      POWER   (c, 0, 0)                 sigma = (t + c)^alpha
+      LINEAR  (t_ref, y_ref, slope)     sigma = y_ref + slope*(t - t_ref)
+      CAP     (a3, a4, a5)              sigma = t + a3 t^3 + a4 t^4 + a5 t^5
+      BLEND   (0, 0, 0)                 smoothstep mix of rows i-1 and i+1
+    """
 
     def __init__(
         self,
         config: ManifoldConfig,
-        pieces: Sequence[Piece],
+        kinds: Sequence[int],
+        t0: Sequence[float],
+        params: Sequence[Sequence[float]],
         windows: Sequence[SawtoothWindow] = (),
     ):
-        pieces = tuple(pieces)
-        if not pieces:
+        kind_arr = np.array(kinds, dtype=np.int64)
+        t0_arr = np.array(t0, dtype=float)
+        params = np.array(params, dtype=float)
+        n = kind_arr.size
+        if n == 0:
             raise ValueError("profile needs at least one piece")
-        if pieces[0].t0 != 0.0:
+        if kind_arr.shape != (n,) or t0_arr.shape != (n,) or params.shape != (n, 3):
+            raise ValueError("need n kinds, n starts and an (n, 3) params array")
+        if not np.all(np.isin(kind_arr, (POWER, LINEAR, CAP, BLEND))):
+            raise ValueError("unknown piece kind")
+        if t0_arr[0] != 0.0:
             raise ValueError("pieces must start at t = 0")
-        if not math.isinf(pieces[-1].t1):
-            raise ValueError("last piece must extend to infinity")
-        for left, right in zip(pieces, pieces[1:]):
-            if left.t1 != right.t0:
-                raise ValueError(f"pieces must tile contiguously at t = {left.t1!r}")
-            if not left.t0 < left.t1:
-                raise ValueError("pieces must have positive width")
-        n = len(pieces)
-        kind_arr = np.fromiter((p.kind for p in pieces), dtype=np.int64, count=n)
+        if not (np.all(np.isfinite(t0_arr)) and np.all(np.diff(t0_arr) > 0.0)):
+            raise ValueError("piece starts must be finite and strictly increasing")
         blend = kind_arr == BLEND
         if blend[0] or blend[-1]:
             raise ValueError("a BLEND piece needs a neighbour on each side")
         if np.any(blend[1:] & blend[:-1]):
             raise ValueError("BLEND pieces may not be adjacent")
-        self.config = config
-        self.pieces = pieces
-        self.windows = tuple(sorted(windows, key=lambda wdw: wdw.z))
-
-        t0_arr = np.fromiter((p.t0 for p in pieces), dtype=float, count=n)
-        t1_arr = np.fromiter((p.t1 for p in pieces), dtype=float, count=n)
-        params = np.zeros((n, 3))
-        for i, p in enumerate(pieces):
-            if len(p.params):
-                if p.kind == BLEND:
-                    raise ValueError("BLEND pieces take no params")
-                params[i, : len(p.params)] = p.params
+        if np.any(params[blend]):
+            raise ValueError("BLEND pieces take no params")
+        t1_arr = np.append(t0_arr[1:], math.inf)
         for arr in (kind_arr, t0_arr, t1_arr, params):
             arr.flags.writeable = False
+        self.config = config
+        self.windows = tuple(sorted(windows, key=lambda wdw: wdw.z))
         self.piece_kinds = kind_arr
         self.piece_t0 = t0_arr
         self.piece_t1 = t1_arr
         self.piece_params = params
+
+    @functools.cached_property
+    def pieces(self) -> np.ndarray:
+        """Read-only record view of the table: fields kind, t0, t1, params."""
+        rows = np.empty(
+            self.piece_kinds.size,
+            dtype=[("kind", np.int64), ("t0", float), ("t1", float), ("params", float, 3)],
+        )
+        rows["kind"] = self.piece_kinds
+        rows["t0"] = self.piece_t0
+        rows["t1"] = self.piece_t1
+        rows["params"] = self.piece_params
+        rows.flags.writeable = False
+        return rows
 
     @property
     def knots(self) -> np.ndarray:
@@ -256,7 +256,7 @@ class WarpingProfile:
 
     def piece_index(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.piece_t0, t, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+        return np.clip(idx, 0, self.piece_t0.size - 1)
 
     def _eval_plain(
         self, rows: np.ndarray, t: np.ndarray
@@ -321,7 +321,7 @@ class WarpingProfile:
         Checked by piece inspection: the left piece and the right piece are
         each evaluated at the shared boundary point.
         """
-        n = len(self.pieces)
+        n = self.piece_t0.size
         ts = self.piece_t0[1:]
         left = self._eval_rows(np.arange(0, n - 1), ts)
         right = self._eval_rows(np.arange(1, n), ts)
@@ -351,11 +351,7 @@ def build_base_profile(config: ManifoldConfig) -> WarpingProfile:
     profile is C^2 with no blend needed there.
     """
     coeffs = _cap_coefficients(config.alpha)
-    pieces = (
-        Piece(CAP, 0.0, 1.0, coeffs),
-        Piece(POWER, 1.0, math.inf, (0.5,)),
-    )
-    profile = WarpingProfile(config, pieces)
+    profile = WarpingProfile(config, [CAP, POWER], [0.0, 1.0], [coeffs, (0.5, 0.0, 0.0)])
     ts = np.linspace(1.0 / 512, 1.0, 512)
     y = profile.eval_many(ts)[0]
     top = (ts + 1.0) ** config.alpha
@@ -417,7 +413,6 @@ def plan_window(
         z=float(h),
         width=width,
         n_teeth=n_teeth,
-        step=step,
         amplitude=amplitude,
         base=float(base),
         smooth_halfwidth=smooth_halfwidth,
@@ -447,102 +442,57 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _window_intervals(
+def _window_rows(
     config: ManifoldConfig, window: SawtoothWindow, host_c: float
-) -> tuple[float, float, list[tuple[float, float, int, tuple]]]:
-    """Formula intervals covering [t_enter, t_exit], corners not yet blended.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundaries and LINEAR params of the window's rows, corners not yet blended.
 
-    The entry connector falls into (z, base) with the falling-tooth slope and
-    the exit connector rises out of (z + width, end value) with the rising
-    slope, so the corners where the window touches the strip have symmetric
-    slope deviations and blend cleanly.
+    Returns the 2n + 3 boundaries t_enter, z, ..., z + width, t_exit and the
+    (t_ref, y_ref, slope) params of the 2n + 2 rows between them: the entry
+    connector, n rise/fall pairs and the exit connector.  The entry connector
+    falls into (z, base) with the falling-tooth slope and the exit connector
+    rises out of (z + width, end value) with the rising slope, so the corners
+    where the window touches the strip have symmetric slope deviations and
+    blend cleanly.
     """
     alpha = config.alpha
     z = window.z
     n = window.n_teeth
     step = window.step
-    width = window.width
     base = window.base
+    end = z + window.width
 
     edges = z + step * np.arange(2 * n + 1)
-    edges[-1] = z + width
-
-    intervals: list[tuple[float, float, int, tuple]] = []
+    edges[-1] = end
+    # every row is anchored at its left footprint edge; the entry connector
+    # shares z with the first rise
+    t_ref = np.concatenate((edges[:1], edges))
     if config.m == 2:
         rise = 2.0 * n + 1.0
         fall = 2.0 * n - 1.0
         t_enter = z - 0.5 * step
-        t_exit = z + width + 0.5 * step
-        intervals.append((t_enter, z, LINEAR, (z, z, -fall)))
-        for j in range(n):
-            v = float(edges[2 * j])
-            p = float(edges[2 * j + 1])
-            v_next = float(edges[2 * j + 2])
-            intervals.append((v, p, LINEAR, (v, v, rise)))
-            intervals.append((p, v_next, LINEAR, (p, p + 1.0, -fall)))
-        end = z + width
-        intervals.append((end, t_exit, LINEAR, (end, end, rise)))
+        t_exit = end + 0.5 * step
+        # rises start on the diagonal, falls one unit above it
+        y_ref = t_ref + np.concatenate(([0.0], np.tile([0.0, 1.0], n), [0.0]))
     else:
-        slope = window.amplitude / step
+        rise = fall = window.amplitude / step
         top = base + window.amplitude
 
         def entry_gap(t: float) -> float:
-            return (t + host_c) ** alpha - (base + slope * (z - t))
+            return (t + host_c) ** alpha - (base + rise * (z - t))
 
         delta_in = (z + host_c) ** alpha - base
-        t_enter = _bisect_root(entry_gap, z - 1.5 * delta_in / slope, z)
-
-        end = z + width
+        t_enter = _bisect_root(entry_gap, z - 1.5 * delta_in / rise, z)
 
         def exit_gap(t: float) -> float:
-            return (t + host_c) ** alpha - (base + slope * (t - end))
+            return (t + host_c) ** alpha - (base + rise * (t - end))
 
         delta_out = (end + host_c) ** alpha - base
-        t_exit = _bisect_root(exit_gap, end, end + 1.5 * delta_out / slope)
-
-        intervals.append((t_enter, z, LINEAR, (z, base, -slope)))
-        for j in range(n):
-            v = float(edges[2 * j])
-            p = float(edges[2 * j + 1])
-            v_next = float(edges[2 * j + 2])
-            intervals.append((v, p, LINEAR, (v, base, slope)))
-            intervals.append((p, v_next, LINEAR, (p, top, -slope)))
-        intervals.append((end, t_exit, LINEAR, (end, base, slope)))
-    return t_enter, t_exit, intervals
-
-
-def _assemble_with_blends(
-    intervals: list[tuple[float, float, int, tuple]], halfwidth: float
-) -> list[Piece]:
-    """Trim each interval by the blend halfwidth and bridge corners with BLENDs.
-
-    The outermost interval edges are left untouched; callers blend them
-    against the surrounding profile separately or keep them as-is.
-    """
-    pieces: list[Piece] = []
-    last = len(intervals) - 1
-    for i, (ta, tb, kind, params) in enumerate(intervals):
-        a = ta + halfwidth if i > 0 else ta
-        b = tb - halfwidth if i < last else tb
-        if not a < b:
-            raise CubeDoesNotFit("smoothing halfwidth swallows a whole piece")
-        pieces.append(Piece(kind, a, b, params))
-        if i < last:
-            pieces.append(Piece(BLEND, b, tb + halfwidth, ()))
-    return pieces
-
-
-def _occupied_spans(profile: WarpingProfile) -> list[tuple[float, float]]:
-    """Maximal runs of non-POWER structure at t >= 1 (existing windows)."""
-    spans: list[tuple[float, float]] = []
-    for p in profile.pieces:
-        if p.kind == POWER or p.t1 <= 1.0:
-            continue
-        if spans and spans[-1][1] == p.t0:
-            spans[-1] = (spans[-1][0], p.t1)
-        else:
-            spans.append((p.t0, p.t1))
-    return spans
+        t_exit = _bisect_root(exit_gap, end, end + 1.5 * delta_out / rise)
+        y_ref = np.concatenate(([base], np.tile([base, top], n), [base]))
+    slopes = np.tile([-fall, rise], n + 1)
+    bounds = np.concatenate(([t_enter], edges, [t_exit]))
+    return bounds, np.stack((t_ref, y_ref, slopes), axis=1)
 
 
 def insert_sawtooth(profile: WarpingProfile, window: SawtoothWindow) -> WarpingProfile:
@@ -551,42 +501,59 @@ def insert_sawtooth(profile: WarpingProfile, window: SawtoothWindow) -> WarpingP
     The footprint [z, z + width] carries n_teeth sawtooth units; short
     connector ramps outside the footprint rejoin the background curve, and
     every corner is a BLEND of halfwidth smooth_halfwidth.  sigma and sigma'
-    stay continuous everywhere and the strip bounds are preserved.
+    stay continuous everywhere and the strip bounds are preserved.  The whole
+    span must lie inside one POWER row; since rows tile, that also keeps it
+    clear of every existing window.
     """
-    host_idx = int(profile.piece_index(np.asarray([window.z]))[0])
-    host = profile.pieces[host_idx]
-    if host.kind != POWER:
+    host = int(profile.piece_index(np.asarray([window.z]))[0])
+    if profile.piece_kinds[host] != POWER:
         raise OverlappingWindow(
             f"window start {window.z!r} does not sit on background curve"
         )
-    host_c = float(host.params[0])
+    host_params = profile.piece_params[host]
+    host_t0 = float(profile.piece_t0[host])
+    host_t1 = float(profile.piece_t1[host])
     w = window.smooth_halfwidth
-    t_enter, t_exit, intervals = _window_intervals(profile.config, window, host_c)
+    bounds, linear = _window_rows(profile.config, window, float(host_params[0]))
 
-    span = (t_enter - w, t_exit + w)
+    span = (float(bounds[0]) - w, float(bounds[-1]) + w)
     if span[0] <= 1.0:
         raise FootprintOutOfRange(
             f"window span {span!r} (with connectors) must stay inside (1, inf)"
         )
-    for lo, hi in _occupied_spans(profile):
-        if span[0] < hi and lo < span[1]:
-            raise OverlappingWindow(
-                f"window span {span!r} overlaps existing structure [{lo!r}, {hi!r}]"
-            )
-    if not (host.t0 <= span[0] and span[1] <= host.t1):
+    if not (host_t0 <= span[0] and span[1] <= host_t1):
         raise OverlappingWindow(
-            f"window span {span!r} crosses piece boundaries of the host curve"
+            f"window span {span!r} overlaps existing structure or crosses the "
+            f"host curve's row [{host_t0!r}, {host_t1!r}]"
         )
 
-    full = [(host.t0, t_enter, POWER, host.params)]
-    full.extend(intervals)
-    full.append((t_exit, host.t1, POWER, host.params))
-    assembled = _assemble_with_blends(full, w)
+    # plain rows: host left of the window, the LINEAR rows, host right of it;
+    # each is trimmed by w at every window boundary, where a BLEND bridges it
+    starts = np.concatenate(([host_t0], bounds + w))
+    ends = np.concatenate((bounds - w, [host_t1]))
+    if not np.all(starts < ends):
+        raise CubeDoesNotFit("smoothing halfwidth swallows a whole piece")
+    rows = 2 * bounds.size + 1
+    kinds = np.full(rows, BLEND, dtype=np.int64)
+    kinds[0::2] = LINEAR
+    kinds[0] = kinds[-1] = POWER
+    t0 = np.empty(rows)
+    t0[0::2] = starts
+    t0[1::2] = ends[:-1]
+    params = np.zeros((rows, 3))
+    params[0] = params[-1] = host_params
+    params[2:-1:2] = linear
 
-    pieces = list(profile.pieces[:host_idx]) + assembled + list(
-        profile.pieces[host_idx + 1 :]
+    def splice(column: np.ndarray, middle: np.ndarray) -> np.ndarray:
+        return np.concatenate((column[:host], middle, column[host + 1 :]))
+
+    return WarpingProfile(
+        profile.config,
+        splice(profile.piece_kinds, kinds),
+        splice(profile.piece_t0, t0),
+        splice(profile.piece_params, params),
+        (*profile.windows, window),
     )
-    return WarpingProfile(profile.config, pieces, (*profile.windows, window))
 
 
 def audit_strip(
@@ -624,10 +591,10 @@ def audit_strip(
 
 def profile_to_json(profile: WarpingProfile) -> dict:
     """Canonical serialization: dimension, windows, cap coefficients."""
-    cap = next(p for p in profile.pieces if p.kind == CAP)
+    cap = profile.piece_params[profile.piece_kinds == CAP][0]
     return {
         "m": profile.config.m,
-        "cap_coefficients": [float(c) for c in cap.params],
+        "cap_coefficients": [float(c) for c in cap],
         "windows": [
             {
                 "z": wdw.z,
@@ -651,7 +618,6 @@ def profile_from_json(data: dict) -> WarpingProfile:
             z=float(wdata["z"]),
             width=float(wdata["width"]),
             n_teeth=int(wdata["n_teeth"]),
-            step=float(wdata["width"]) / (2.0 * int(wdata["n_teeth"])),
             amplitude=float(wdata["amplitude"]),
             base=float(wdata["base"]),
             smooth_halfwidth=float(wdata["smooth_halfwidth"]),

@@ -27,7 +27,7 @@ from czwarp.norms import (
     volume_integral,
 )
 from czwarp.quadrature import QuadratureSpec, integrate
-from czwarp.warping import POWER, ManifoldConfig, Piece, WarpingProfile, audit_strip
+from czwarp.warping import POWER, ManifoldConfig, WarpingProfile, audit_strip
 
 SPEC = QuadratureSpec(base_order=8, rel_tol=1e-8)
 
@@ -266,7 +266,7 @@ def test_criterion_7_quadrature_honesty():
             worst = max(worst, diff / (10.0 * err))
 
     flat = WarpingProfile(
-        ManifoldConfig.from_dimension(2), (Piece(POWER, 0.0, math.inf, (0.0,)),)
+        ManifoldConfig.from_dimension(2), [POWER], [0.0], [(0.0, 0.0, 0.0)]
     )
     ones = lambda t: np.ones_like(t)
     volume, _ = volume_integral(flat, ones, 1.0, 2.0, tight)

@@ -20,7 +20,6 @@ from czwarp.warping import (
     LINEAR,
     POWER,
     ManifoldConfig,
-    Piece,
     WarpingProfile,
     build_base_profile,
     insert_sawtooth,
@@ -31,7 +30,7 @@ from czwarp.warping import (
 def pure_power_green(m: int, r_max: float = 1e3) -> GreenFunction:
     """sigma = t^alpha, so sigma^(1-m) = 1/t and G(r) = log r exactly."""
     cfg = ManifoldConfig.from_dimension(m)
-    prof = WarpingProfile(cfg, (Piece(POWER, 0.0, math.inf, (0.0,)),))
+    prof = WarpingProfile(cfg, [POWER], [0.0], [(0.0, 0.0, 0.0)])
     return GreenFunction(prof, r_max=r_max)
 
 
@@ -75,14 +74,12 @@ def test_linear_profile_closed_forms():
     # sigma = 2t - 1: for m = 2 the antiderivative is log(2r-1)/2, for
     # m = 3 it is 1/2 - 1/(2(2r-1)); both hand-checked
     prof2 = WarpingProfile(
-        ManifoldConfig.from_dimension(2),
-        (Piece(LINEAR, 0.0, math.inf, (1.0, 1.0, 2.0)),),
+        ManifoldConfig.from_dimension(2), [LINEAR], [0.0], [(1.0, 1.0, 2.0)]
     )
     gf2 = GreenFunction(prof2, r_max=50.0)
     assert abs(gf2.value(2.5) - math.log(2.0)) <= 1e-14
     prof3 = WarpingProfile(
-        ManifoldConfig.from_dimension(3),
-        (Piece(LINEAR, 0.0, math.inf, (1.0, 1.0, 2.0)),),
+        ManifoldConfig.from_dimension(3), [LINEAR], [0.0], [(1.0, 1.0, 2.0)]
     )
     gf3 = GreenFunction(prof3, r_max=50.0)
     assert abs(gf3.value(2.0) - 1.0 / 3.0) <= 1e-14
@@ -161,8 +158,7 @@ def test_window_too_narrow_for_fast_green_growth():
     # sigma = t/3 sits below the strip: G = 3 log t grows so fast that the
     # unit window [h, h+1] cannot stay below level k + 1 - delta
     prof = WarpingProfile(
-        ManifoldConfig.from_dimension(2),
-        (Piece(LINEAR, 0.0, math.inf, (0.0, 0.0, 1.0 / 3.0)),),
+        ManifoldConfig.from_dimension(2), [LINEAR], [0.0], [(0.0, 0.0, 1.0 / 3.0)]
     )
     gf = GreenFunction(prof, r_max=50.0)
     with pytest.raises(WindowTooNarrow):
@@ -206,11 +202,7 @@ def test_find_h_level_validation():
 def test_rejects_cap_coverage():
     cfg = ManifoldConfig.from_dimension(2)
     prof = WarpingProfile(
-        cfg,
-        (
-            Piece(CAP, 0.0, 2.0, (5.0, -7.5, 3.0)),
-            Piece(POWER, 2.0, math.inf, (0.5,)),
-        ),
+        cfg, [CAP, POWER], [0.0, 2.0], [(5.0, -7.5, 3.0), (0.5, 0.0, 0.0)]
     )
     with pytest.raises(ValueError):
         GreenFunction(prof, r_max=10.0)

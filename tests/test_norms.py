@@ -28,7 +28,6 @@ from czwarp.quadrature import QuadratureSpec
 from czwarp.warping import (
     POWER,
     ManifoldConfig,
-    Piece,
     WarpingProfile,
     build_base_profile,
     insert_sawtooth,
@@ -51,7 +50,7 @@ def sawtooth_tf(m: int, k: float, n: int) -> TestFunction:
 @functools.lru_cache(maxsize=None)
 def pure_power_tf(k: float = 1.0) -> TestFunction:
     cfg = ManifoldConfig.from_dimension(2)
-    prof = WarpingProfile(cfg, (Piece(POWER, 0.0, math.inf, (0.0,)),))
+    prof = WarpingProfile(cfg, [POWER], [0.0], [(0.0, 0.0, 0.0)])
     return TestFunction(k, CutoffFunction(), GreenFunction(prof, r_max=12.0))
 
 
@@ -169,7 +168,7 @@ def test_hessian_value_frame_norm_and_trace():
 def test_volume_integral_closed_forms():
     # 2*pi * int_1^2 t dt = 3*pi for the flat profile
     cfg = ManifoldConfig.from_dimension(2)
-    flat = WarpingProfile(cfg, (Piece(POWER, 0.0, math.inf, (0.0,)),))
+    flat = WarpingProfile(cfg, [POWER], [0.0], [(0.0, 0.0, 0.0)])
     val, err = volume_integral(flat, lambda r: np.ones_like(r), 1.0, 2.0, SPEC)
     assert abs(val - 3.0 * math.pi) <= 1e-12 * 3.0 * math.pi
     assert err <= 1e-10

@@ -208,3 +208,15 @@ def test_result_unpacks_to_a_float_pair():
     value, err = integrate(lambda x: (np.exp(x), x), 0.0, 1.0)
     assert type(value) is float and type(err) is float
     assert (value, err) == integrate(np.exp, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("panels", [9, 17])
+def test_batch_size_leaves_panel_sums_unchanged(monkeypatch, panels):
+    # with 8-panel batches, 9 or 17 panels leave one panel over; it must be
+    # summed inside a batch like every other panel, not as a lone row
+    f = lambda x: np.exp(np.sin(3.0 * x))
+    spec = QuadratureSpec(base_order=8, rel_tol=1e-6)
+    args = (f, 0.0, float(panels), range(1, panels), spec)
+    default = integrate(*args)
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
+    assert integrate(*args) == default

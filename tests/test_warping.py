@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -17,7 +18,6 @@ from czwarp.warping import (
     FootprintOutOfRange,
     ManifoldConfig,
     OverlappingWindow,
-    Piece,
     SawtoothWindow,
     WarpingProfile,
     _cap_coefficients,
@@ -153,18 +153,19 @@ def test_window_teeth_slopes_by_piece_inspection():
     n = 8
     w = plan_window(cfg, 5.0, n)
     prof = insert_sawtooth(build_base_profile(cfg), w)
-    rises = []
-    falls = []
-    for p in prof.pieces:
-        if p.kind == LINEAR and w.z <= p.t0 and p.t1 <= w.z + w.width:
-            if p.params[2] > 0:
-                rises.append(p)
-            else:
-                falls.append(p)
-    assert len(rises) == n and len(falls) == n
-    assert all(p.params[2] == 2.0 * n + 1.0 for p in rises)
-    assert all(p.params[2] == -(2.0 * n - 1.0) for p in falls)
-    measured = sum(p.t1 - p.t0 for p in falls)
+    teeth = (
+        (prof.piece_kinds == LINEAR)
+        & (w.z <= prof.piece_t0)
+        & (prof.piece_t1 <= w.z + w.width)
+    )
+    slopes = prof.piece_params[teeth, 2]
+    rises = slopes > 0
+    falls = ~rises
+    assert np.count_nonzero(rises) == n and np.count_nonzero(falls) == n
+    assert np.all(slopes[rises] == 2.0 * n + 1.0)
+    assert np.all(slopes[falls] == -(2.0 * n - 1.0))
+    widths = (prof.piece_t1 - prof.piece_t0)[teeth]
+    measured = widths[falls].sum()
     assert measured >= n * (w.step - 2.0 * w.smooth_halfwidth) - 1e-15
 
 
@@ -190,13 +191,17 @@ def test_strip_containment_with_windows():
 def test_strip_audit_flags_violation():
     cfg = ManifoldConfig.from_dimension(2)
     coeffs = _cap_coefficients(1.0)
-    pieces = (
-        Piece(CAP, 0.0, 1.0, coeffs),
-        Piece(POWER, 1.0, 2.0, (0.5,)),
-        Piece(LINEAR, 2.0, 3.0, (2.0, 3.6, 1.0)),  # 0.6 above the ceiling
-        Piece(POWER, 3.0, math.inf, (0.5,)),
+    prof = WarpingProfile(
+        cfg,
+        [CAP, POWER, LINEAR, POWER],
+        [0.0, 1.0, 2.0, 3.0],
+        [
+            coeffs,
+            (0.5, 0.0, 0.0),
+            (2.0, 3.6, 1.0),  # 0.6 above the ceiling
+            (0.5, 0.0, 0.0),
+        ],
     )
-    prof = WarpingProfile(cfg, pieces)
     audit = audit_strip(prof, 1.0, 4.0)
     assert not audit.overall_pass
     worst = audit.failures()[0]
@@ -278,46 +283,80 @@ def test_json_round_trip_bit_exact():
 
 def test_piece_table_invariants():
     cfg = ManifoldConfig.from_dimension(2)
+    cap = (5.0, -7.5, 3.0)
+    power = (0.5, 0.0, 0.0)
     with pytest.raises(ValueError):
-        WarpingProfile(cfg, (Piece(POWER, 0.5, math.inf, (0.5,)),))
+        WarpingProfile(cfg, [POWER], [0.5], [power])
+    with pytest.raises(ValueError, match="kind"):
+        WarpingProfile(cfg, [7], [0.0], [power])
+    # rows end where the next one starts, so a repeated start is an empty row
     with pytest.raises(ValueError):
-        WarpingProfile(cfg, (Piece(CAP, 0.0, 1.0, (5.0, -7.5, 3.0)),))
-    with pytest.raises(ValueError):
-        WarpingProfile(
-            cfg,
-            (
-                Piece(CAP, 0.0, 1.0, (5.0, -7.5, 3.0)),
-                Piece(POWER, 1.5, math.inf, (0.5,)),
-            ),
-        )
+        WarpingProfile(cfg, [CAP, POWER, POWER], [0.0, 1.0, 1.0], [cap, power, power])
     # a BLEND row mixes the formulas of the rows on either side of it, so it
     # needs a plain neighbour on each side and carries no params of its own
-    power = (0.5,)
     joined = WarpingProfile(
-        cfg,
-        (
-            Piece(POWER, 0.0, 2.0, power),
-            Piece(BLEND, 2.0, 2.1, ()),
-            Piece(POWER, 2.1, math.inf, power),
-        ),
+        cfg, [POWER, BLEND, POWER], [0.0, 2.0, 2.1], [power, (0.0, 0.0, 0.0), power]
     )
     assert joined.piece_params.shape == (3, 3)
     assert joined.eval(2.05) == (2.05 + 0.5, 1.0, 0.0)
+    none = (0.0, 0.0, 0.0)
     bad_tables = [
-        (Piece(BLEND, 0.0, 1.0, ()), Piece(POWER, 1.0, math.inf, power)),
-        (Piece(POWER, 0.0, 1.0, power), Piece(BLEND, 1.0, math.inf, ())),
-        (
-            Piece(POWER, 0.0, 1.0, power),
-            Piece(BLEND, 1.0, 1.1, ()),
-            Piece(BLEND, 1.1, 1.2, ()),
-            Piece(POWER, 1.2, math.inf, power),
-        ),
-        (
-            Piece(POWER, 0.0, 1.0, power),
-            Piece(BLEND, 1.0, 1.1, (POWER, 0.5, 0.0, 0.0, POWER, 0.5, 0.0, 0.0)),
-            Piece(POWER, 1.1, math.inf, power),
-        ),
+        ([BLEND, POWER], [0.0, 1.0], [none, power]),
+        ([POWER, BLEND], [0.0, 1.0], [power, none]),
+        ([POWER, BLEND, BLEND, POWER], [0.0, 1.0, 1.1, 1.2], [power, none, none, power]),
+        ([POWER, BLEND, POWER], [0.0, 1.0, 1.1], [power, (POWER, 0.5, 0.0), power]),
     ]
-    for pieces in bad_tables:
+    for kinds, t0, params in bad_tables:
         with pytest.raises(ValueError, match="BLEND"):
-            WarpingProfile(cfg, pieces)
+            WarpingProfile(cfg, kinds, t0, params)
+
+
+def test_pieces_record_view_matches_columns():
+    cfg = ManifoldConfig.from_dimension(3)
+    prof = insert_sawtooth(build_base_profile(cfg), plan_window(cfg, 9.0, 4))
+    rows = prof.pieces
+    assert len(rows) == prof.piece_kinds.size == 1 + 4 * 4 + 7
+    assert np.array_equal(rows["kind"], prof.piece_kinds)
+    assert np.array_equal(rows["t0"], prof.piece_t0)
+    assert np.array_equal(rows["t1"], prof.piece_t1)
+    assert np.array_equal(rows["params"], prof.piece_params)
+    assert not rows.flags.writeable
+    assert prof.piece_t1[-1] == math.inf
+    assert np.array_equal(prof.piece_t1[:-1], prof.piece_t0[1:])
+
+
+def test_json_rejects_zero_teeth_by_name():
+    cfg = ManifoldConfig.from_dimension(2)
+    data = profile_to_json(insert_sawtooth(build_base_profile(cfg), plan_window(cfg, 3.0, 2)))
+    data["windows"][0]["n_teeth"] = 0
+    with pytest.raises(ValueError, match="n_teeth must be >= 1"):
+        profile_from_json(data)
+
+
+# sha256 over the bytes of piece_kinds, piece_t0, piece_t1 and piece_params
+# for a window planned at h = 5, keyed by (m, n_teeth)
+GOLDEN_TABLES = {
+    (2, 1): "3a0fca4fcf5f9547db7f311d968f1046f3062c0084f198ed8beb88ca42102afa",
+    (2, 2): "84b191cfccc983b5fc81c68c2a749a9edce392fb045c2ff6302f3544bd28dc5d",
+    (2, 256): "be3025f7596397f95c01eb0a1898b3355c3178dded3e4eca9892a3cb1c827fcf",
+    (3, 1): "8d2bac4df8c14e9b5170b1baa33740a99c5b744a0ed17257b662700a7abcebf1",
+    (3, 2): "710dd58b1b7af6794880404b40cf1e1dfb79a6bce9722f014ae7be0ce6145ac5",
+    (3, 256): "fe1727676c8dbb608ee6f6ef029d6e1d077199ae12e9a52d2985cbb8303098f3",
+    (4, 1): "9f45bcb1f1d50a62f7ec4529ed74c481166b4d8576db3483fcd26b9ddd437b51",
+    (4, 2): "9ccb367585081d2da3ba811954f24717df955bf479c29728bb34fc1a8722c018",
+    (4, 256): "b3c439c9b2e7be28ebec10b2e6ede3bb163c60795afb29cb511ac717908b3da9",
+    (5, 1): "0e1f5869dc99ebd24ea357a20a341b936540eb6e05b8cecd7835eb72ef1a537d",
+    (5, 2): "ffac2e20b302fe4c56d0d4d90cffc8667f2615e5e6fb79bb055d02f5bfba65f6",
+    (5, 256): "825433e646295d5693c4332bc8c5ab9c60784ad5105e56f54d7aad506adb5982",
+    (2, 32768): "12d343423ed3f475257ad581a73718f5fc24077bc3245b82691ea5d68ae90ed7",
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(GOLDEN_TABLES), ids=lambda v: str(v))
+def test_golden_piece_table(m, n):
+    cfg = ManifoldConfig.from_dimension(m)
+    prof = insert_sawtooth(build_base_profile(cfg), plan_window(cfg, 5.0, n))
+    digest = hashlib.sha256()
+    for column in (prof.piece_kinds, prof.piece_t0, prof.piece_t1, prof.piece_params):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == GOLDEN_TABLES[(m, n)]
