@@ -343,21 +343,16 @@ def norms_report(
     )
 
 
-def _s_panels(tf: TestFunction) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Breakpoints and blend slivers mapped into the Green coordinate."""
+def _s_panels(tf: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and (k, 2) blend slivers mapped into the Green coordinate."""
     d = tf.cutoff.delta
     knots = tf.green.profile.knots_in(tf.r_lo, tf.r_hi)
     pts = [np.asarray([0.5 * d, d, 1.0 - d, 1.0 - 0.5 * d])]
     if knots.size:
         pts.append(tf.green.value_many(knots) - tf.k)
     spans = tf.green.profile.blend_spans_in(tf.r_lo, tf.r_hi)
-    slivers: list[tuple[float, float]] = []
-    if spans:
-        edges = np.asarray(spans)
-        s_lo = tf.green.value_many(edges[:, 0]) - tf.k
-        s_hi = tf.green.value_many(edges[:, 1]) - tf.k
-        slivers = [(lo, hi) for lo, hi in zip(s_lo, s_hi) if lo < hi]
-    return np.concatenate(pts), slivers
+    slivers = tf.green.value_many(spans) - tf.k
+    return np.concatenate(pts), slivers[slivers[:, 0] < slivers[:, 1]]
 
 
 def _s_integrals(

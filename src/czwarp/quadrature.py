@@ -13,11 +13,23 @@ ndarrays for several integrands over the same panels.  Such columns share the
 breakpoints and the depth-0 evaluation, which is where nearly all the nodes
 are, and each column then keeps its own error budget and refinement, so it
 comes out bit-identical to integrating it alone.
+
+A pass over many panels is cut into batches.  When there are several, they
+are evaluated concurrently on a thread pool opened for that pass and shut
+down before it returns, with one worker per CPU at most; numpy releases the
+interpreter lock inside its array loops, so the batches overlap.  A batch
+runs the same arithmetic on the same nodes whichever thread runs it, so the
+results do not depend on the worker count.  Integrands are therefore called
+from several threads at once and must not mutate shared state; an integrand
+may itself call integrate().
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -32,11 +44,12 @@ __all__ = [
     "integrate",
 ]
 
-# panels per evaluation batch; bounds peak memory.  Batches start on
-# multiples of 4, the BLAS gemv row block, so a panel's weighted sum does not
-# depend on the batch size.  numpy sums a single row outside gemv, which may
-# round differently, so a lone last panel joins the batch before it
-_CHUNK = 16384
+# panels per evaluation batch; bounds peak memory, which holds about one
+# batch's node arrays per worker in flight.  Batches start on multiples of 4,
+# the BLAS gemv row block, so a panel's weighted sum does not depend on the
+# batch size.  numpy sums a single row outside gemv, which may round
+# differently, so a lone last panel joins the batch before it
+_CHUNK = 2048
 # error floor relative to the panel value, so reported errors never
 # understate plain rounding noise
 _NOISE = 2.0 ** -50
@@ -96,9 +109,46 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _floats(xs: Iterable) -> np.ndarray:
+    """Any iterable of numbers as a float array; an array is not walked by rows."""
+    return np.asarray(xs if isinstance(xs, np.ndarray) else list(xs), dtype=float)
+
+
 def _columns(f: Callable[[np.ndarray], Columns], x: np.ndarray) -> tuple[np.ndarray, ...]:
     out = f(x)
     return out if isinstance(out, tuple) else (out,)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: the most batches worth running at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _batch(
+    f: Callable[[np.ndarray], Columns],
+    a: np.ndarray,
+    b: np.ndarray,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_panel_pass for the panels [a, b) of one batch."""
+    mid = a + 0.5 * (b - a)
+
+    def rule_on(x0: np.ndarray, x1: np.ndarray) -> list[np.ndarray]:
+        pts = x0[:, None] + (x1 - x0)[:, None] * nodes[None, :]
+        return [
+            (x1 - x0) * (np.asarray(v, dtype=float).reshape(pts.shape) @ weights)
+            for v in _columns(f, pts.reshape(-1))
+        ]
+
+    out = []
+    for w, lh, rh in zip(rule_on(a, b), rule_on(a, mid), rule_on(mid, b)):
+        halves = lh + rh
+        out.append((halves, np.abs(w - halves) + _NOISE * np.abs(halves)))
+    return out
 
 
 def _panel_pass(
@@ -110,37 +160,33 @@ def _panel_pass(
     """Refined panel values and error estimates, one pair per column of f.
 
     Value is the two-half composite; error is its distance to the single
-    whole-panel rule, plus a rounding-noise floor.
+    whole-panel rule, plus a rounding-noise floor.  A pass of several
+    batches runs them on a pool opened for this call and closed before it
+    returns; each batch is copied out as it arrives, in order.
     """
     nodes, weights = _rule(order)
     n = lo.size
-    passes: list[tuple[np.ndarray, np.ndarray]] = []
     stops = [*range(_CHUNK, n, _CHUNK), n]
     if n > 1 and n % _CHUNK == 1:
         del stops[-2]
-    for start, stop in zip([0, *stops], stops):
-        sl = slice(start, stop)
-        a = lo[sl]
-        b = hi[sl]
-        width = b - a
-        mid = a + 0.5 * width
+    spans = [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
-        def rule_on(x0: np.ndarray, x1: np.ndarray) -> list[np.ndarray]:
-            pts = x0[:, None] + (x1 - x0)[:, None] * nodes[None, :]
-            return [
-                (x1 - x0) * (np.asarray(v, dtype=float).reshape(pts.shape) @ weights)
-                for v in _columns(f, pts.reshape(-1))
-            ]
+    def run(sl: slice) -> list[tuple[np.ndarray, np.ndarray]]:
+        return _batch(f, lo[sl], hi[sl], nodes, weights)
 
-        whole = rule_on(a, b)
-        left = rule_on(a, mid)
-        right = rule_on(mid, b)
-        if not passes:
-            passes = [(np.empty(n), np.empty(n)) for _ in whole]
-        for (value, err), w, lh, rh in zip(passes, whole, left, right):
-            halves = lh + rh
-            value[sl] = halves
-            err[sl] = np.abs(w - halves) + _NOISE * np.abs(halves)
+    passes: list[tuple[np.ndarray, np.ndarray]] = []
+    workers = min(len(spans), _cpus())
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            results = stack.enter_context(ThreadPoolExecutor(workers)).map(run, spans)
+        else:
+            results = map(run, spans)
+        for sl, cols in zip(spans, results):
+            if not passes:
+                passes = [(np.empty(n), np.empty(n)) for _ in cols]
+            for (value, err), (v, e) in zip(passes, cols):
+                value[sl] = v
+                err[sl] = e
     return passes
 
 
@@ -198,21 +244,14 @@ def integrate(
     if not a < b:
         raise ValueError("need a < b")
 
-    sliv = np.asarray(sorted((float(x), float(y)) for x, y in slivers), dtype=float)
-    sliv = sliv.reshape(-1, 2)
-    if sliv.size:
-        keep = (sliv[:, 0] >= a) & (sliv[:, 1] <= b) & (sliv[:, 0] < sliv[:, 1])
-        sliv = sliv[keep]
-        if np.any(sliv[1:, 0] < sliv[:-1, 1]):
-            raise ValueError("slivers must be disjoint")
+    sliv = _floats(slivers).reshape(-1, 2)
+    sliv = sliv[(sliv[:, 0] >= a) & (sliv[:, 1] <= b) & (sliv[:, 0] < sliv[:, 1])]
+    sliv = sliv[np.lexsort((sliv[:, 1], sliv[:, 0]))]
+    if np.any(sliv[1:, 0] < sliv[:-1, 1]):
+        raise ValueError("slivers must be disjoint")
 
-    pts = {float(x) for x in breakpoints}
-    pts.update(sliv.reshape(-1).tolist())
-    inner = np.asarray(sorted(pts), dtype=float)
-    if inner.size:
-        inner = inner[(inner > a) & (inner < b)]
-    edges = np.concatenate(([a], inner, [b]))
-    edges = edges[np.concatenate(([True], np.diff(edges) > 0.0))]
+    inner = np.unique(np.concatenate((_floats(breakpoints).reshape(-1), sliv.reshape(-1))))
+    edges = np.concatenate(([a], inner[(inner > a) & (inner < b)], [b]))
 
     lo = edges[:-1].copy()
     hi = edges[1:].copy()

@@ -249,10 +249,13 @@ class WarpingProfile:
         k = self.knots
         return k[(k > a) & (k < b)]
 
-    def blend_spans_in(self, a: float, b: float) -> list[tuple[float, float]]:
-        """Corner-blend intervals inside (a, b); quadrature-negligible slivers."""
+    def blend_spans_in(self, a: float, b: float) -> np.ndarray:
+        """Corner-blend intervals inside (a, b), one (t0, t1) row each.
+
+        They are the quadrature-negligible slivers of integrate().
+        """
         mask = (self.piece_kinds == BLEND) & (self.piece_t0 >= a) & (self.piece_t1 <= b)
-        return list(zip(self.piece_t0[mask], self.piece_t1[mask]))
+        return np.stack([self.piece_t0[mask], self.piece_t1[mask]], axis=1)
 
     def piece_index(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.piece_t0, t, side="right") - 1

@@ -6,7 +6,11 @@ none is produced by the integrator under test.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -220,3 +224,118 @@ def test_batch_size_leaves_panel_sums_unchanged(monkeypatch, panels):
     default = integrate(*args)
     monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
     assert integrate(*args) == default
+
+
+@contextlib.contextmanager
+def _switch_often():
+    # hand the interpreter lock between threads as often as possible, so
+    # batches on a pool interleave at every bytecode
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
+
+
+def _three_columns(threads):
+    # a smooth column, one with an unregistered kink and a near-singular one
+    # that refines; the short sleep keeps a batch busy while the next is handed
+    # out, so a pool of several workers starts more than one thread
+    def f(x):
+        threads.add(threading.get_ident())
+        time.sleep(1e-3)
+        return np.exp(x), np.abs(x - 1.0 / 3.0), 1.0 / np.sqrt(x + 1e-4)
+
+    return f
+
+
+def _hex(result):
+    return [(v.hex(), e.hex()) for v, e in result.columns]
+
+
+def test_bits_do_not_depend_on_worker_count(monkeypatch):
+    spec = QuadratureSpec(base_order=8, rel_tol=1e-9)
+    kwargs = dict(
+        breakpoints=np.linspace(0.0, 1.0, 42)[1:-1],
+        spec=spec,
+        slivers=[(0.7, 0.7 + 1e-12), (0.2, 0.2 + 1e-13)],
+    )
+    caller = threading.get_ident()
+    before = set(threading.enumerate())
+    with _switch_often():
+        one_batch = set()
+        reference = _hex(integrate(_three_columns(one_batch), 0.0, 1.0, **kwargs))
+        assert one_batch == {caller}
+        monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
+        for cpus in (1, 8):
+            monkeypatch.setattr("czwarp.quadrature._cpus", lambda: cpus)
+            threads = set()
+            assert _hex(integrate(_three_columns(threads), 0.0, 1.0, **kwargs)) == reference
+            if cpus > 1:
+                assert len(threads - {caller}) > 1
+            else:
+                assert threads == {caller}
+    # every pool is shut down before integrate returns
+    assert set(threading.enumerate()) == before
+
+
+def _serial_and_pooled(monkeypatch, call):
+    """call() with 8-panel batches run inline, then on a pool of 8 workers."""
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
+    outcomes = []
+    with _switch_often():
+        for cpus in (1, 8):
+            monkeypatch.setattr("czwarp.quadrature._cpus", lambda: cpus)
+            outcomes.append(call())
+    return outcomes
+
+
+def test_pooled_batch_error_matches_serial(monkeypatch):
+    # 40 unit panels in 5 batches of 8; the integrand fails only in batch 3
+    def f(x):
+        if np.any((x > 16.0) & (x < 24.0)):
+            raise ArithmeticError(f"no value past {int(x.min())}")
+        return np.cos(x)
+
+    def call():
+        with pytest.raises(ArithmeticError) as info:
+            integrate(f, 0.0, 40.0, breakpoints=range(1, 40))
+        return type(info.value), str(info.value)
+
+    serial, pooled = _serial_and_pooled(monkeypatch, call)
+    assert serial == pooled == (ArithmeticError, "no value past 16")
+
+
+def test_pooled_non_convergence_names_the_same_panel(monkeypatch):
+    spec = QuadratureSpec(base_order=4, rel_tol=1e-14, max_depth=3)
+    bad = lambda x: np.sin(1.0 / np.maximum(x, 1e-300))
+
+    def call():
+        with pytest.raises(QuadratureNotConverged) as info:
+            integrate(bad, 1e-6, 1.0, breakpoints=np.geomspace(1e-5, 0.5, 30), spec=spec)
+        return info.value.panel, info.value.err, info.value.share
+
+    serial, pooled = _serial_and_pooled(monkeypatch, call)
+    assert serial == pooled
+
+
+def test_integrand_may_call_integrate(monkeypatch):
+    def inner_mass(x):
+        return integrate(np.exp, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, 30)[1:-1])[0]
+
+    def call():
+        outer = lambda x: x * inner_mass(x)
+        done = {}
+        t = threading.Thread(
+            target=lambda: done.setdefault(
+                "result", integrate(outer, 0.0, 2.0, breakpoints=np.linspace(0.0, 2.0, 20)[1:-1])
+            )
+        )
+        t.start()
+        t.join(timeout=60.0)
+        assert not t.is_alive()
+        return _hex(done["result"])
+
+    serial, pooled = _serial_and_pooled(monkeypatch, call)
+    assert serial == pooled
