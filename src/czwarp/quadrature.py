@@ -5,28 +5,33 @@ Integrands here are piecewise analytic with breakpoints known in advance
 between consecutive breakpoints, estimates each panel's error by comparing
 the panel value against the sum of its two halves, and bisects panels whose
 estimate exceeds their share of the tolerance.  Panel values are combined
-left to right with exact summation, so identical inputs give bit-identical
-results regardless of available parallelism.
+with correctly rounded summation, which does not depend on their order, so
+identical inputs give bit-identical results regardless of available
+parallelism.
 
 Integrands must be vectorized: f(x: ndarray) -> ndarray, or a tuple of
 ndarrays for several integrands over the same panels.  Such columns share the
-breakpoints and the depth-0 evaluation, which is where nearly all the nodes
-are, and each column then keeps its own error budget and refinement, so it
-comes out bit-identical to integrating it alone.
+breakpoints and every integrand call: each pass evaluates, in the same calls,
+the panels that every column still refines at that depth.  Each column keeps
+its own error budget, refinement and sum, and each panel's weighted sums come
+from the same batch of rows as when the column is integrated alone, so each
+column comes out bit-identical to integrating it alone.
 
-A pass over many panels is cut into batches.  When there are several, they
-are evaluated concurrently on a thread pool opened for that pass and shut
-down before it returns, with one worker per CPU at most; numpy releases the
-interpreter lock inside its array loops, so the batches overlap.  A batch
-runs the same arithmetic on the same nodes whichever thread runs it, so the
-results do not depend on the worker count.  Integrands are therefore called
-from several threads at once and must not mutate shared state; an integrand
-may itself call integrate().
+A pass is cut into batches of panels, and the rules of each batch into
+integrand calls of bounded size.  When the pass holds more than one batch
+of panels, its calls are evaluated concurrently on a thread pool opened for
+that pass and shut down before it returns, with one worker per CPU at most;
+numpy releases the interpreter lock inside its array loops, so the calls
+overlap.  A call runs the same arithmetic on the same nodes whichever
+thread runs it, so the results do not depend on the worker count.
+Integrands are therefore called from several threads at once and must not
+mutate shared state; an integrand may itself call integrate().
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,10 +49,12 @@ __all__ = [
     "integrate",
 ]
 
-# panels per evaluation batch; bounds peak memory, which holds about one
-# batch's node arrays per worker in flight.  Batches start on multiples of 4,
-# the BLAS gemv row block, so a panel's weighted sum does not depend on the
-# batch size.  numpy sums a single row outside gemv, which may round
+# panels per evaluation batch, and the most panels' worth of nodes one
+# integrand call holds; bounds peak memory, which holds about one call's node
+# arrays per worker in flight.  Batches start on multiples of 4, the BLAS gemv
+# row block, and each batch's weighted sums are one gemv over its own rows, so
+# a panel's weighted sum does not depend on the batch size or on what else
+# shares the call.  numpy sums a single row outside gemv, which may round
 # differently, so a lone last panel joins the batch before it
 _CHUNK = 2048
 # error floor relative to the panel value, so reported errors never
@@ -127,67 +134,111 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _batch(
-    f: Callable[[np.ndarray], Columns],
-    a: np.ndarray,
-    b: np.ndarray,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_panel_pass for the panels [a, b) of one batch."""
-    mid = a + 0.5 * (b - a)
+def _batches(n: int) -> list[slice]:
+    """n panels cut into batches of _CHUNK, a lone last panel joined to the one before."""
+    stops = [*range(_CHUNK, n, _CHUNK), n]
+    if n > 1 and n % _CHUNK == 1:
+        del stops[-2]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
-    def rule_on(x0: np.ndarray, x1: np.ndarray) -> list[np.ndarray]:
-        pts = x0[:, None] + (x1 - x0)[:, None] * nodes[None, :]
-        return [
-            (x1 - x0) * (np.asarray(v, dtype=float).reshape(pts.shape) @ weights)
-            for v in _columns(f, pts.reshape(-1))
-        ]
 
-    out = []
-    for w, lh, rh in zip(rule_on(a, b), rule_on(a, mid), rule_on(mid, b)):
-        halves = lh + rh
-        out.append((halves, np.abs(w - halves) + _NOISE * np.abs(halves)))
-    return out
+# the three rules of a panel: whole, left half, right half
+_WHOLE, _LEFT, _RIGHT = range(3)
+# a set of panels that one pass refines: (lo, hi, the columns of f it needs)
+_PanelSet = tuple[np.ndarray, np.ndarray, slice]
+# one rule over one batch of one set: (set index, batch, rule)
+_Block = tuple[int, slice, int]
 
 
 def _panel_pass(
     f: Callable[[np.ndarray], Columns],
-    lo: np.ndarray,
-    hi: np.ndarray,
+    sets: Sequence[_PanelSet],
     order: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Refined panel values and error estimates, one pair per column of f.
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Refined panel values and error estimates of several panel sets at once.
 
+    Returns, for each set, one (value, err) pair per column it selects.
     Value is the two-half composite; error is its distance to the single
-    whole-panel rule, plus a rounding-noise floor.  A pass of several
-    batches runs them on a pool opened for this call and closed before it
-    returns; each batch is copied out as it arrives, in order.
+    whole-panel rule, plus a rounding-noise floor.
+
+    Each set is cut into batches and each batch into its three rules; the
+    blocks are packed in order into integrand calls of at most _CHUNK
+    panels' nodes, so small sets share one call.  Each block's weighted sums
+    are one gemv over that block's own rows.  A pass of more than one
+    batch's panels runs its calls, three to a task, on a pool opened for
+    this call and closed before it returns; each call's blocks are folded
+    into the result arrays as they arrive, in order.
     """
     nodes, weights = _rule(order)
-    n = lo.size
-    stops = [*range(_CHUNK, n, _CHUNK), n]
-    if n > 1 and n % _CHUNK == 1:
-        del stops[-2]
-    spans = [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+    blocks = [
+        (k, sl, rule)
+        for k, (lo, _, _) in enumerate(sets)
+        for sl in _batches(lo.size)
+        for rule in (_WHOLE, _LEFT, _RIGHT)
+    ]
 
-    def run(sl: slice) -> list[tuple[np.ndarray, np.ndarray]]:
-        return _batch(f, lo[sl], hi[sl], nodes, weights)
+    calls: list[list[_Block]] = []
+    rows = 0
+    for block in blocks:
+        size = block[1].stop - block[1].start
+        if not calls or rows + size > _CHUNK:
+            calls.append([])
+            rows = 0
+        calls[-1].append(block)
+        rows += size
 
-    passes: list[tuple[np.ndarray, np.ndarray]] = []
-    workers = min(len(spans), _cpus())
+    def run(call: list[_Block]) -> list[list[np.ndarray]]:
+        spans = []  # per block: left ends, widths, and its rows of the node array
+        start = 0
+        for k, sl, rule in call:
+            a, b = sets[k][0][sl], sets[k][1][sl]
+            mid = a + 0.5 * (b - a)
+            x0, x1 = ((a, b), (a, mid), (mid, b))[rule]
+            spans.append((x0, x1 - x0, slice(start, start + x0.size)))
+            start += x0.size
+        # one node array for the whole call, written in place block by block
+        pts = np.empty((start, order))
+        for x0, w, r in spans:
+            np.add(x0[:, None], w[:, None] * nodes[None, :], out=pts[r])
+        cols = [
+            np.asarray(v, dtype=float).reshape(pts.shape) for v in _columns(f, pts.reshape(-1))
+        ]
+        return [
+            [w * (v[r] @ weights) for v in cols[sets[k][2]]]
+            for (k, _, _), (_, w, r) in zip(call, spans)
+        ]
+
+    # per set and selected column: the halves' sum, and the whole-panel rule
+    # until a batch's right half arrives and turns it into the error
+    out: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in sets]
+    panels = sum(lo.size for lo, _, _ in sets)
+    # a worker takes three calls at a time, a whole batch once batches are
+    # full; handing out single calls measured slower
+    tasks = [calls[i : i + 3] for i in range(0, len(calls), 3)]
+    workers = min(len(tasks), _cpus()) if panels > _CHUNK + 1 else 1
+
+    def run_task(task: list[list[_Block]]) -> list[list[list[np.ndarray]]]:
+        return [run(call) for call in task]
+
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            results = stack.enter_context(ThreadPoolExecutor(workers)).map(run, spans)
+            results = stack.enter_context(ThreadPoolExecutor(workers)).map(run_task, tasks)
         else:
-            results = map(run, spans)
-        for sl, cols in zip(spans, results):
-            if not passes:
-                passes = [(np.empty(n), np.empty(n)) for _ in cols]
-            for (value, err), (v, e) in zip(passes, cols):
-                value[sl] = v
-                err[sl] = e
-    return passes
+            results = map(run_task, tasks)
+        for call, sums in zip(calls, itertools.chain.from_iterable(results)):
+            for (k, sl, rule), block in zip(call, sums):
+                if not out[k]:
+                    n = sets[k][0].size
+                    out[k] = [(np.empty(n), np.empty(n)) for _ in block]
+                for (halves, err), v in zip(out[k], block):
+                    if rule == _WHOLE:
+                        err[sl] = v
+                    elif rule == _LEFT:
+                        halves[sl] = v
+                    else:  # calls arrive in order: the other two rules are in place
+                        halves[sl] += v
+                        err[sl] = np.abs(err[sl] - halves[sl]) + _NOISE * np.abs(halves[sl])
+    return out
 
 
 class Integral(tuple):
@@ -223,11 +274,14 @@ def integrate(
     error share at max_depth.
 
     f may return a tuple of arrays instead of one array: several integrands
-    over the same nodes.  The columns share the panels and the depth-0
-    evaluation; from there each keeps its own budget, refinement and sum,
-    so each column's pair is bit-identical to integrating that column alone.
-    The result is the first column's pair, and .columns holds them all.  A
-    column that cannot converge raises for its own panel, columns in order.
+    over the same nodes.  The columns share the panels and every integrand
+    call; each keeps its own budget, refinement and sum, so each column's
+    pair is bit-identical to integrating that column alone.  The result is
+    the first column's pair, and .columns holds them all.  When several
+    columns cannot converge, the lowest-index one raises, for the panel it
+    raises for alone.  A refinement pass evaluates every column's panels
+    together, so an exception raised by the integrand can come from any
+    column's nodes.
 
     slivers are disjoint subintervals the caller certifies as negligible:
     panels so thin that their entire contribution sits far below the
@@ -255,36 +309,78 @@ def integrate(
 
     lo = edges[:-1].copy()
     hi = edges[1:].copy()
-    first = _panel_pass(f, lo, hi, spec.base_order)
-    return Integral(
-        [
-            _refine(lambda x, c=c: _columns(f, x)[c], lo, hi, value, err, b - a, sliv, spec)
-            for c, (value, err) in enumerate(first)
+    # slivers are accepted at depth 0 whatever their estimate
+    free: np.ndarray | None = None
+    if sliv.size:
+        mid = lo + 0.5 * (hi - lo)
+        j = np.searchsorted(sliv[:, 0], mid, side="right") - 1
+        free = (j >= 0) & (mid <= sliv[np.clip(j, 0, None), 1])
+
+    (pairs,) = _panel_pass(f, [(lo, hi, slice(None))], spec.base_order)
+    columns = [_Column(lo, hi) for _ in pairs]
+    refining = list(enumerate(columns))
+    for depth in range(spec.max_depth + 1):
+        if depth:
+            sets = [(col.lo, col.hi, slice(c, c + 1)) for c, col in refining]
+            pairs = [pair for (pair,) in _panel_pass(f, sets, spec.base_order)]
+        last = depth == spec.max_depth
+        refining = [
+            (c, col)
+            for (c, col), (value, err) in zip(refining, pairs)
+            if col.settle(value, err, b - a, spec, free, last)
         ]
+        if not refining:
+            break
+        # let this depth's values go before the next pass allocates its own
+        del pairs
+        free = None
+    return Integral([col.total for col in columns])
+
+
+def _fsum(arrays: list[np.ndarray]) -> float:
+    """Correctly rounded sum of every element, listed a batch at a time.
+
+    fsum rounds the exact sum once, so neither the order of the panels nor
+    how they are grouped changes the result.
+    """
+    return math.fsum(
+        itertools.chain.from_iterable(
+            a[i : i + _CHUNK].tolist() for a in arrays for i in range(0, a.size, _CHUNK)
+        )
     )
 
 
-def _refine(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    value: np.ndarray,
-    err: np.ndarray,
-    total_len: float,
-    sliv: np.ndarray,
-    spec: QuadratureSpec,
-) -> tuple[float, float]:
-    """Accept or bisect one column's panels from its depth-0 pass to the sum."""
-    done_lo: list[np.ndarray] = []
-    done_val: list[np.ndarray] = []
-    done_err: list[np.ndarray] = []
-    done_abs_sum = 0.0
+class _Column:
+    """One column's refinement: the panels still open, and what was accepted."""
 
-    for depth in range(spec.max_depth + 1):
-        if depth:
-            ((value, err),) = _panel_pass(f, lo, hi, spec.base_order)
+    # (value, error), set when the last open panel is accepted
+    total: tuple[float, float]
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo = lo
+        self.hi = hi
+        self.done_val: list[np.ndarray] = []
+        self.done_err: list[np.ndarray] = []
+        self.done_abs_sum = 0.0
+
+    def settle(
+        self,
+        value: np.ndarray,
+        err: np.ndarray,
+        total_len: float,
+        spec: QuadratureSpec,
+        free: np.ndarray | None,
+        last: bool,
+    ) -> bool:
+        """Accept the open panels within their error share and bisect the rest.
+
+        value and err belong to the open panels; free marks panels accepted
+        whatever their estimate.  Returns whether any panel is left open;
+        when one is, and this was the last depth, raises instead.
+        """
+        lo, hi = self.lo, self.hi
         abs_val = np.abs(value)
-        scale = done_abs_sum + float(np.sum(abs_val))
+        scale = self.done_abs_sum + float(np.sum(abs_val))
         budget = max(spec.abs_tol, spec.rel_tol * scale)
         # split the budget half by length, half by value mass, so very
         # narrow panels are not starved of tolerance they cannot use
@@ -294,20 +390,18 @@ def _refine(
         else:
             share = budget * len_frac
         ok = err <= share
-        if depth == 0 and sliv.size:
-            mid = lo + 0.5 * (hi - lo)
-            j = np.searchsorted(sliv[:, 0], mid, side="right") - 1
-            in_sliver = (j >= 0) & (mid <= sliv[np.clip(j, 0, None), 1])
-            ok = ok | in_sliver
+        if free is not None:
+            ok = ok | free
         if np.any(ok):
-            done_lo.append(lo[ok])
-            done_val.append(value[ok])
-            done_err.append(err[ok])
-            done_abs_sum += float(np.sum(np.abs(value[ok])))
+            self.done_val.append(value[ok])
+            self.done_err.append(err[ok])
+            self.done_abs_sum += float(np.sum(np.abs(value[ok])))
         bad = ~ok
         if not np.any(bad):
-            break
-        if depth == spec.max_depth:
+            self.total = (_fsum(self.done_val), _fsum(self.done_err))
+            self.done_val, self.done_err = [], []
+            return False
+        if last:
             worst = int(np.argmax(err[bad] - share[bad]))
             raise QuadratureNotConverged(
                 float(lo[bad][worst]),
@@ -318,14 +412,9 @@ def _refine(
         blo = lo[bad]
         bhi = hi[bad]
         bmid = blo + 0.5 * (bhi - blo)
-        lo = np.stack([blo, bmid], axis=1).reshape(-1)
-        hi = np.stack([bmid, bhi], axis=1).reshape(-1)
-
-    all_lo = np.concatenate(done_lo)
-    order = np.argsort(all_lo, kind="stable")
-    all_val = np.concatenate(done_val)[order]
-    all_err = np.concatenate(done_err)[order]
-    return math.fsum(all_val.tolist()), math.fsum(all_err.tolist())
+        self.lo = np.stack([blo, bmid], axis=1).reshape(-1)
+        self.hi = np.stack([bmid, bhi], axis=1).reshape(-1)
+        return True
 
 
 @dataclass(frozen=True)

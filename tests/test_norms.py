@@ -24,8 +24,9 @@ from czwarp.norms import (
     s_integral_u,
     volume_integral,
 )
-from czwarp.quadrature import QuadratureSpec
+from czwarp.quadrature import QuadratureSpec, integrate
 from czwarp.warping import (
+    LINEAR,
     POWER,
     ManifoldConfig,
     WarpingProfile,
@@ -282,6 +283,41 @@ def test_hessian_doubling_law():
     assert 0.8 * 2.0**p <= ratio <= 1.2 * 2.0**p
     assert abs(r2.norm_u_p_pow / r1.norm_u_p_pow - 1.0) <= 1e-3
     assert abs(r2.norm_lap_p_pow / r1.norm_lap_p_pow - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_plateau_hessian_mass_matches_high_precision_reference(m: int, n: int):
+    # on the plateau phi = s, so |Hess u| = sqrt(m(m-1)) |sigma'| sigma^-m,
+    # and on a LINEAR piece sigma = l0 + a (t - t0) the gamma-free mass of
+    # |Hess u|^p sigma^(m-1) is (m(m-1))^(p/2) |a|^p (l1^(q+1) - l0^(q+1)) /
+    # ((q+1) a) with q = m - 1 - mp; evaluated at 50 digits, it must lie
+    # within the quadrature's own error of the real integrand's integral
+    mpmath = pytest.importorskip("mpmath")
+    tf = sawtooth_tf(m, 3.0, n)
+    prof = tf.green.profile
+    d = tf.cutoff.delta
+    linear = np.flatnonzero(prof.piece_kinds == LINEAR)
+    s0, s1 = tf.s_many(np.stack([prof.piece_t0[linear], prof.piece_t1[linear]]))
+    plateau = linear[(s0 >= d) & (s1 <= 1.0 - d)]
+    assert plateau.size >= 2 * n
+    spec = QuadratureSpec(rel_tol=1e-12)
+    for p in (1.5, 2.0, 4.0):
+
+        def mass(r: np.ndarray) -> np.ndarray:
+            (hess,), sigma = tf.fields_many(r, ("hessian",))
+            return np.abs(hess) ** p * sigma ** (m - 1)
+
+        for i in plateau:
+            t0, t1 = float(prof.piece_t0[i]), float(prof.piece_t1[i])
+            value, err = integrate(mass, t0, t1, spec=spec)
+            with mpmath.workdps(50):
+                t_ref, y_ref, a = (mpmath.mpf(float(x)) for x in prof.piece_params[i])
+                l0, l1 = (y_ref + a * (mpmath.mpf(t) - t_ref) for t in (t0, t1))
+                q1 = m - m * mpmath.mpf(p)
+                ref = (m * (m - 1)) ** (mpmath.mpf(p) / 2) * abs(a) ** p
+                ref *= (l1**q1 - l0**q1) / (q1 * a)
+                assert abs(value - ref) <= err, (p, i)
 
 
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])

@@ -7,6 +7,7 @@ none is produced by the integrator under test.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import sys
 import threading
@@ -204,6 +205,53 @@ def test_failing_column_raises_for_its_own_panel():
     assert fused.value.panel == alone.value.panel
     assert fused.value.err == alone.value.err
     assert fused.value.share == alone.value.share
+
+
+def test_lowest_failing_column_raises():
+    # both fail at max_depth; whichever comes first raises its own panel
+    spec = QuadratureSpec(base_order=4, rel_tol=1e-14, max_depth=3)
+    sin_inv = lambda x: np.sin(1.0 / np.maximum(x, 1e-300))
+    cos_inv = lambda x: np.cos(3.0 / np.maximum(x, 1e-300))
+
+    def failure(f):
+        with pytest.raises(QuadratureNotConverged) as info:
+            integrate(f, 1e-6, 1.0, spec=spec)
+        return info.value.panel, info.value.err, info.value.share
+
+    alone = {f: failure(f) for f in (sin_inv, cos_inv)}
+    assert alone[sin_inv] != alone[cos_inv]
+    for first, second in ((sin_inv, cos_inv), (cos_inv, sin_inv)):
+        assert failure(lambda x: (x**2, first(x), second(x))) == alone[first]
+
+
+def _depth_alone(f, spec, **kwargs):
+    """The bisection depth f reaches alone: the least max_depth it converges within."""
+    for depth in range(1, spec.max_depth + 1):
+        try:
+            integrate(f, 0.0, 1.0, spec=dataclasses.replace(spec, max_depth=depth), **kwargs)
+        except QuadratureNotConverged:
+            continue
+        return depth
+    raise AssertionError("column does not converge")
+
+
+def test_columns_refine_in_shared_calls():
+    # one call evaluates depth 0 for every column, then one call per depth
+    # evaluates the panels of every column still refining at that depth
+    cols = [
+        lambda x: np.sin(20.0 * x),
+        lambda x: np.abs(x - 1.0 / 3.0),
+        lambda x: 1.0 / np.sqrt(x + 1e-4),
+    ]
+    spec = QuadratureSpec(base_order=8, rel_tol=1e-9)
+    kwargs = dict(breakpoints=(0.25, 0.5), spec=spec)
+    depths = [_depth_alone(f, **kwargs) for f in cols]
+    assert len(set(depths)) == 3 and max(depths) > 1
+    calls = []
+    fused = integrate(_counted(lambda x: tuple(f(x) for f in cols), calls), 0.0, 1.0, **kwargs)
+    assert len(calls) == 1 + max(depths)
+    for f, pair in zip(cols, fused.columns):
+        assert repr(tuple(integrate(f, 0.0, 1.0, **kwargs))) == repr(pair)
 
 
 def test_result_unpacks_to_a_float_pair():
