@@ -50,7 +50,6 @@ _CONFIG_KEYS = {
     "envelope_samples",
     "quad",
     "grid",
-    "workers",
 }
 _QUAD_KEYS = {"base_order", "rel_tol", "abs_tol", "max_depth"}
 _GRID_KEYS = {"m", "p", "k", "n"}
@@ -278,17 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return [int(v) for v in values]
 
     base = _experiment_config(args, data)
-    workers = args.workers
-    if workers is None:
-        workers = _cast(int, "config key 'workers'", data.get("workers", 1))
-    rows = sweep(
-        base,
-        int_axis("m"),
-        axis("p"),
-        axis("k"),
-        int_axis("n"),
-        workers=workers,
-    )
+    rows = sweep(base, int_axis("m"), axis("p"), axis("k"), int_axis("n"))
     write_csv(rows, args.out)
     violated = sum(1 for r in rows if r.report is not None and r.report.violated)
     errors = sum(1 for r in rows if r.error)
@@ -353,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a parameter grid and write a CSV table")
     _add_common(swp)
     swp.add_argument("--out", required=True, help="output CSV path")
-    swp.add_argument("--workers", type=int, help="thread count (default 1)")
     swp.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -5,17 +5,15 @@ window placement on the final profile, runs the strip and envelope audits, and
 compares the inequality sides.  search_min_n doubles the tooth count until the
 Hessian side wins, then closes the bracket around the crossing with probes
 placed by the ratio's linear law in n^p (lhs ~ A + B n^p, rhs ~ constant) and
-certified at n* - 1 and n*.  sweep runs a grid of cells (optionally across
-threads), builds and audits each construction once for all the p values that
-share it, and always assembles rows in grid order so the CSV is reproducible
-byte for byte.
+certified at n* - 1 and n*.  sweep runs a grid of cells one after another,
+builds and audits each construction once for all the p values that share it,
+and assembles rows in grid order so the CSV is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .green import DELTA_UNIVERSAL, GreenFunction, WindowTooNarrow, audit_green_bounds, find_h
@@ -336,10 +334,15 @@ def sweep(
     ns: list[int],
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Run every (m, p, k, n) cell; row order always equals grid order.
+    """Run every (m, p, k, n) cell on the calling thread; rows follow grid order.
 
     Cells that differ only in p share one audited construction: each
-    (m, k, n) group is one task, built once and then measured for every p.
+    (m, k, n) group is built once and then measured for every p.
+
+    workers does nothing.  The cells are small NumPy calls that hold the
+    interpreter lock, so a second thread only slowed the sweep down.  The
+    parameter is kept because the perfbench sweep workload still passes
+    it; it goes in the first benchmark change that stops passing it.
     """
     if not (ms and ps and ks and ns):
         raise ValueError("sweep grid must be nonempty on every axis")
@@ -353,15 +356,9 @@ def sweep(
     groups: dict[tuple[int, float, int], list[int]] = {}
     for i, cfg in enumerate(cells):
         groups.setdefault((cfg.m, cfg.k, cfg.n_teeth), []).append(i)
-    tasks = [[cells[i] for i in idx] for idx in groups.values()]
-    if workers <= 1:
-        results = [_run_group(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_group, tasks))
     rows: list[SweepRow] = [None] * len(cells)
-    for idx, group_rows in zip(groups.values(), results):
-        for i, row in zip(idx, group_rows):
+    for idx in groups.values():
+        for i, row in zip(idx, _run_group([cells[i] for i in idx])):
             rows[i] = row
     return rows
 

@@ -32,7 +32,6 @@ __all__ = [
     "InvalidDelta",
     "CutoffFunction",
     "TestFunction",
-    "HessianValue",
     "hessian_components",
     "volume_integral",
     "lp_norm_pow",
@@ -100,23 +99,6 @@ class CutoffFunction:
         dphi = w + s * dw
         d2phi = 2.0 * dw + s * d2w
         return phi, dphi, d2phi
-
-
-@dataclass(frozen=True)
-class HessianValue:
-    """Radial/tangential Hessian eigenvalues; tangential has multiplicity m-1."""
-
-    radial: float
-    tangential: float
-    multiplicity: int
-
-    @property
-    def frame_norm(self) -> float:
-        return math.sqrt(self.radial**2 + self.multiplicity * self.tangential**2)
-
-    @property
-    def trace(self) -> float:
-        return self.radial + self.multiplicity * self.tangential
 
 
 def hessian_components(

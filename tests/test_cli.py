@@ -141,7 +141,7 @@ def test_sweep_runs_a_grid(tmp_path, capsys):
         )
     )
     out = tmp_path / "rows.csv"
-    rc = main(["sweep", "--config", str(config), "--out", str(out), "--workers", "2"])
+    rc = main(["sweep", "--config", str(config), "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 0
     assert "wrote 4 rows" in captured.out
@@ -150,6 +150,9 @@ def test_sweep_runs_a_grid(tmp_path, capsys):
     assert [(r["m"], r["p"], r["n"]) for r in records] == [
         ("2", "2.0", "1"), ("2", "2.0", "2"), ("3", "2.0", "1"), ("3", "2.0", "2"),
     ]
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(config), "--out", str(out), "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_sweep_requires_config_with_grid(tmp_path, capsys):
@@ -172,14 +175,18 @@ def test_sweep_rejects_fractional_integer_axis(tmp_path, capsys):
     assert "integers" in capsys.readouterr().err
 
 
+_GRID = {"m": [2], "p": [2.0], "k": [2.0], "n": [1]}
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "typo.json"
     config.write_text(json.dumps({"n_teeth": 4}))
     assert main(["build", "--config", str(config)]) == 1
     assert "n_teeth" in capsys.readouterr().err
-
-
-_GRID = {"m": [2], "p": [2.0], "k": [2.0], "n": [1]}
+    # sweep runs serially; a worker count is not a config key
+    config.write_text(json.dumps({"workers": 2, "grid": _GRID}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "unknown config keys: ['workers']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -187,11 +194,10 @@ _GRID = {"m": [2], "p": [2.0], "k": [2.0], "n": [1]}
     [
         ("build", {"m": [2]}),
         ("build", {"quad": {"base_order": "x"}}),
-        ("sweep", {"workers": None, "grid": _GRID}),
         ("sweep", {"grid": {**_GRID, "p": [None]}}),
         ("sweep", {"grid": {**_GRID, "p": 2.0}}),
     ],
-    ids=["list-m", "string-quad-order", "null-workers", "null-grid-value", "scalar-grid-axis"],
+    ids=["list-m", "string-quad-order", "null-grid-value", "scalar-grid-axis"],
 )
 def test_wrongly_typed_config_value_exits_one(tmp_path, capsys, command, doc):
     config = tmp_path / "typed.json"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import threading
 from dataclasses import replace
 
 import pytest
@@ -281,7 +282,7 @@ def test_sweep_rejects_empty_grid():
 
 
 def test_sweep_rows_follow_grid_order():
-    rows = sweep(replace(BASE, k=2.0), [2, 3], [1.5, 2.0], [2.0], [1, 2], workers=1)
+    rows = sweep(replace(BASE, k=2.0), [2, 3], [1.5, 2.0], [2.0], [1, 2])
     key = [(r.m, r.p, r.k, r.n_teeth) for r in rows]
     assert key == [
         (m, p, 2.0, n) for m in (2, 3) for p in (1.5, 2.0) for n in (1, 2)
@@ -289,14 +290,19 @@ def test_sweep_rows_follow_grid_order():
     assert all(r.report is not None and r.error == "" for r in rows)
 
 
-def test_sweep_is_deterministic_across_workers(tmp_path):
-    grid = dict(ms=[2, 3], ps=[1.5, 2.0], ks=[2.0], ns=[1, 4])
-    rows_a = sweep(replace(BASE, k=2.0), workers=1, **grid)
-    rows_b = sweep(replace(BASE, k=2.0), workers=4, **grid)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(rows_a, str(a))
-    write_csv(rows_b, str(b))
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_runs_every_cell_on_the_calling_thread(monkeypatch):
+    # workers is accepted and ignored: no cell may leave the caller's thread
+    threads = []
+    run = experiment_module.run_experiment
+
+    def recording(cfg, construction=None):
+        threads.append(threading.get_ident())
+        return run(cfg, construction)
+
+    monkeypatch.setattr(experiment_module, "run_experiment", recording)
+    rows = sweep(replace(BASE, k=2.0), [2, 3], [2.0], [2.0], [1, 2], workers=2)
+    assert len(rows) == 4 and all(r.error == "" for r in rows)
+    assert threads == [threading.get_ident()] * 4
 
 
 def test_sweep_builds_each_construction_once(monkeypatch, tmp_path):
@@ -312,7 +318,7 @@ def test_sweep_builds_each_construction_once(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment_module, "build_construction", counting)
     base = replace(BASE, k=2.0)
     grid = dict(ms=[2, 3], ps=[1.5, 2.0], ks=[2.0], ns=[1, 4])
-    rows = sweep(base, workers=1, **grid)
+    rows = sweep(base, **grid)
     assert sorted(built) == [(m, 2.0, n) for m in (2, 3) for n in (1, 4)]
     separate = [
         SweepRow(
@@ -334,7 +340,7 @@ def test_sweep_construction_error_fills_every_p_row():
     with pytest.raises(Exception) as exc:
         run_experiment(replace(base, k=13.0, n_teeth=2))
     want = f"{type(exc.value).__name__}: {exc.value}"
-    rows = sweep(base, [2], [1.5, 2.0, 4.0], [2.0, 13.0], [2], workers=2)
+    rows = sweep(base, [2], [1.5, 2.0, 4.0], [2.0, 13.0], [2])
     assert [(r.p, r.k) for r in rows] == [(p, k) for p in (1.5, 2.0, 4.0) for k in (2.0, 13.0)]
     for row in rows:
         if row.k == 13.0:
@@ -345,7 +351,7 @@ def test_sweep_construction_error_fills_every_p_row():
 
 def test_sweep_isolates_per_cell_errors():
     # k=13 needs a Green table past the radius cap; only that row may fail
-    rows = sweep(replace(BASE, k=2.0), [2], [2.0], [2.0, 13.0], [2], workers=2)
+    rows = sweep(replace(BASE, k=2.0), [2], [2.0], [2.0, 13.0], [2])
     ok, bad = rows
     assert ok.report is not None and ok.error == ""
     assert bad.report is None

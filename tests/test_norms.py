@@ -13,7 +13,6 @@ from czwarp.experiment import ExperimentConfig, build_construction
 from czwarp.green import DELTA_UNIVERSAL, GreenFunction, find_h
 from czwarp.norms import (
     CutoffFunction,
-    HessianValue,
     InvalidDelta,
     TestFunction,
     audit_norm_chain,
@@ -158,12 +157,6 @@ def test_hessian_components_arithmetic():
         np.asarray([4.0]), np.asarray([2.0]), np.asarray([2.0]), np.asarray([1.0])
     )
     assert rad[0] == 2.0 and tan[0] == 2.0
-
-
-def test_hessian_value_frame_norm_and_trace():
-    hv = HessianValue(radial=3.0, tangential=2.0, multiplicity=2)
-    assert abs(hv.frame_norm - math.sqrt(17.0)) <= 1e-15
-    assert hv.trace == 7.0
 
 
 def test_volume_integral_closed_forms():
