@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,35 +24,44 @@ from .experiment import (
     CZReport,
     ExperimentConfig,
     SweepRow,
+    _audited_construction,
     build_construction,
     run_experiment,
     search_min_n,
     sweep,
     write_csv,
 )
-from .green import audit_green_bounds
 from .norms import CutoffFunction, TestFunction, audit_norm_chain
 from .quadrature import BoundAudit, QuadratureNotConverged, QuadratureSpec
-from .warping import audit_strip, profile_to_json
+from .warping import profile_to_json
 
 __all__ = ["main"]
 
-# JSON config keys accepted at the top level; anything else is a typo
-_CONFIG_KEYS = {
-    "m",
-    "p",
-    "k",
-    "n",
-    "C1",
-    "C2",
-    "r_cap",
-    "smooth_halfwidth",
-    "strip_samples",
-    "envelope_samples",
-    "quad",
-    "grid",
+# scalar config keys, each read from the flag of the same name or the
+# config file: (ExperimentConfig field, type)
+_SCALARS = {
+    "m": ("m", int),
+    "p": ("p", float),
+    "k": ("k", float),
+    "n": ("n_teeth", int),
+    "C1": ("C1", float),
+    "C2": ("C2", float),
+    "r_cap": ("r_cap", float),
+    "strip_samples": ("strip_samples", int),
+    "envelope_samples": ("envelope_samples", int),
 }
-_QUAD_KEYS = {"base_order", "rel_tol", "abs_tol", "max_depth"}
+# values for the fields ExperimentConfig requires; every other value that
+# neither a flag nor the file gives is ExperimentConfig's own default
+_REQUIRED = {"m": 2, "p": 2.0, "k": 3.0, "n": 1}
+# quad keys: (QuadratureSpec field, flag, type)
+_QUAD = (
+    ("base_order", "quad_order", int),
+    ("rel_tol", "quad_rel_tol", float),
+    ("max_depth", "quad_max_depth", int),
+)
+# JSON config keys accepted at the top level; anything else is a typo
+_CONFIG_KEYS = {*_SCALARS, "quad", "grid"}
+_QUAD_KEYS = {key for key, _, _ in _QUAD}
 _GRID_KEYS = {"m", "p", "k", "n"}
 
 
@@ -72,55 +82,40 @@ def _load_config(path: str | None) -> dict:
 
 
 def _cast(kind, what: str, value):
-    """kind(value), with a value of the wrong JSON type reported as invalid."""
-    try:
-        return kind(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a number, not {value!r}") from None
+    """value as kind (int or float); a JSON bool, string, list, object, or a
+    fractional value where kind is int, is reported as invalid."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    if kind is int and not (isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return kind(value)
 
 
-def _pick(args: argparse.Namespace, data: dict, name: str, default, kind=float):
-    value = getattr(args, name, None)
-    if value is None:
-        value = data.get(name)
-    if value is None:
-        return default
-    return _cast(kind, f"config key {name!r}", value)
+def _given(args: argparse.Namespace, flag: str, data: dict, key: str):
+    """The flag's value, else the file's, else None (a JSON null counts as absent)."""
+    value = getattr(args, flag)
+    return data.get(key) if value is None else value
 
 
 def _quad_spec(args: argparse.Namespace, data: dict) -> QuadratureSpec:
-    fields = dict(data.get("quad", {}))
-    for key, flag in (
-        ("base_order", "quad_order"),
-        ("rel_tol", "quad_rel_tol"),
-        ("abs_tol", "quad_abs_tol"),
-        ("max_depth", "quad_max_depth"),
-    ):
-        value = getattr(args, flag, None)
+    quad = data.get("quad", {})
+    fields = {}
+    for key, flag, kind in _QUAD:
+        value = _given(args, flag, quad, key)
         if value is not None:
-            fields[key] = value
-    fields.setdefault("base_order", 8)
-    fields.setdefault("rel_tol", 1e-8)
-    try:
-        return QuadratureSpec(**fields)
-    except TypeError:
-        raise ValueError(f"config key 'quad' must hold numbers, not {fields!r}") from None
+            fields[key] = _cast(kind, f"config key 'quad.{key}'", value)
+    return replace(ExperimentConfig.quad, **fields)
 
 
 def _experiment_config(args: argparse.Namespace, data: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        m=_pick(args, data, "m", 2, int),
-        p=_pick(args, data, "p", 2.0),
-        k=_pick(args, data, "k", 3.0),
-        n_teeth=_pick(args, data, "n", 1, int),
-        C1=_pick(args, data, "C1", 1.0),
-        C2=_pick(args, data, "C2", 1.0),
-        quad=_quad_spec(args, data),
-        smooth_halfwidth=_pick(args, data, "smooth_halfwidth", None),
-        r_cap=_pick(args, data, "r_cap", 2e5),
-        strip_samples=_pick(args, data, "strip_samples", 2048, int),
-        envelope_samples=_pick(args, data, "envelope_samples", 512, int),
-    )
+    fields = {}
+    for key, (name, kind) in _SCALARS.items():
+        value = _given(args, key, data, key)
+        if value is None:
+            value = _REQUIRED.get(key)
+        if value is not None:
+            fields[name] = _cast(kind, f"config key {key!r}", value)
+    return ExperimentConfig(**fields, quad=_quad_spec(args, data))
 
 
 def _report_doc(report: CZReport) -> dict:
@@ -202,10 +197,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args, _load_config(args.config))
-    _, _, green, r_max = build_construction(cfg)
-    audit = BoundAudit()
-    audit.extend(audit_strip(green.profile, 1.0, r_max, samples=cfg.strip_samples))
-    audit.extend(audit_green_bounds(green, samples=cfg.envelope_samples))
+    (_, _, green, _), audit = _audited_construction(cfg)
     tf = TestFunction(cfg.k, CutoffFunction(), green)
     audit.extend(audit_norm_chain(tf, cfg.p, cfg.quad))
     _print_audit(audit)
@@ -287,21 +279,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--m", type=int, help="dimension (default 2)")
-    parser.add_argument("--p", type=float, help="Lebesgue exponent in (1, inf) (default 2)")
-    parser.add_argument("--k", type=float, help="window level (default 3)")
-    parser.add_argument("--n", type=int, help="tooth count (default 1)")
-    parser.add_argument("--C1", type=float, help="Laplacian-side constant (default 1)")
-    parser.add_argument("--C2", type=float, help="function-side constant (default 1)")
-    parser.add_argument("--r-cap", type=float, help="hard cap on the tabulated radius")
+    parser.add_argument("--m", type=int, help=f"dimension (default {_REQUIRED['m']})")
     parser.add_argument(
-        "--smooth-halfwidth", type=float, help="corner smoothing half width override"
+        "--p", type=float, help=f"Lebesgue exponent in (1, inf) (default {_REQUIRED['p']})"
     )
+    parser.add_argument("--k", type=float, help=f"window level (default {_REQUIRED['k']})")
+    parser.add_argument("--n", type=int, help=f"tooth count (default {_REQUIRED['n']})")
+    parser.add_argument("--C1", type=float, help="Laplacian-side constant")
+    parser.add_argument("--C2", type=float, help="function-side constant")
+    parser.add_argument("--r-cap", type=float, help="hard cap on the tabulated radius")
     parser.add_argument("--strip-samples", type=int, help="strip audit sample count")
     parser.add_argument("--envelope-samples", type=int, help="envelope audit sample count")
     parser.add_argument("--quad-order", type=int, help="Gauss-Legendre panel order")
     parser.add_argument("--quad-rel-tol", type=float, help="quadrature relative tolerance")
-    parser.add_argument("--quad-abs-tol", type=float, help="quadrature absolute floor")
     parser.add_argument("--quad-max-depth", type=int, help="quadrature bisection depth limit")
 
 

@@ -66,7 +66,6 @@ class ExperimentConfig:
     C1: float = 1.0
     C2: float = 1.0
     quad: QuadratureSpec = QuadratureSpec(base_order=8, rel_tol=1e-8)
-    smooth_halfwidth: float | None = None
     r_cap: float = 2e5
     strip_samples: int = 2048
     envelope_samples: int = 512
@@ -79,8 +78,8 @@ class ExperimentConfig:
             raise ValueError("level k must be >= 1")
         if not isinstance(self.n_teeth, int) or self.n_teeth < 1:
             raise ValueError("n_teeth must be an integer >= 1")
-        if self.C1 < 0.0 or self.C2 < 0.0:
-            raise ValueError("C1 and C2 must be nonnegative")
+        if not (0.0 <= self.C1 < math.inf and 0.0 <= self.C2 < math.inf):
+            raise ValueError("C1 and C2 must be finite and nonnegative")
         if not self.r_cap > 1.0:
             raise ValueError("r_cap must exceed 1")
         if self.strip_samples < 2 or self.envelope_samples < 2:
@@ -121,7 +120,7 @@ def build_construction(
     base = build_base_profile(manifold)
     r_max = _table_r_max(cfg)
     h = find_h(GreenFunction(base, r_max=r_max), cfg.k)
-    window = plan_window(manifold, h, cfg.n_teeth, cfg.smooth_halfwidth)
+    window = plan_window(manifold, h, cfg.n_teeth)
     profile = insert_sawtooth(base, window)
     green = GreenFunction(profile, r_max=r_max)
 

@@ -65,7 +65,7 @@ def _blend_quad(profile: WarpingProfile, lo: np.ndarray, hi: np.ndarray) -> np.n
 class GreenFunction:
     """Tabulated G and its inverse for one profile on [1, r_max]."""
 
-    def __init__(self, profile: WarpingProfile, r_max: float = 2e5):
+    def __init__(self, profile: WarpingProfile, r_max: float):
         if not (math.isfinite(r_max) and r_max > 1.0):
             raise ValueError("r_max must be finite and exceed 1")
         self.profile = profile
@@ -264,13 +264,14 @@ def find_h(green: GreenFunction, k: float) -> float:
     return h
 
 
-def audit_green_bounds(
-    green: GreenFunction, samples: int = 512, t_max: float | None = None
-) -> BoundAudit:
-    """Envelope audit; holds whenever sigma stays inside the strip."""
-    if t_max is None:
-        t_max = green.r_max
-    t_max = min(float(t_max), green.r_max)
+def audit_green_bounds(green: GreenFunction, samples: int) -> BoundAudit:
+    """Envelope audit over the whole table [1, green.r_max].
+
+    Holds whenever sigma stays inside the strip.  samples log-spaced radii,
+    plus every knot, check G; samples evenly spaced levels check G^-1 and
+    sigma along it.
+    """
+    t_max = green.r_max
     ts = np.unique(
         np.concatenate(
             [

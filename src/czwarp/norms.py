@@ -29,7 +29,6 @@ from .quadrature import BoundAudit, QuadratureSpec, integrate
 from .warping import _smoothstep
 
 __all__ = [
-    "InvalidDelta",
     "CutoffFunction",
     "TestFunction",
     "hessian_components",
@@ -43,17 +42,16 @@ __all__ = [
 ]
 
 
-class InvalidDelta(ValueError):
-    """Cutoff margin must satisfy 0 < delta < 1/2."""
-
-
 class CutoffFunction:
-    """phi(s) = s * w(s); w rises on (delta/2, delta), falls on (1-delta, 1-delta/2)."""
+    """phi(s) = s * w(s); w rises on (delta/2, delta), falls on (1-delta, 1-delta/2).
 
-    def __init__(self, delta: float = DELTA_UNIVERSAL):
-        if not 0.0 < delta < 0.5:
-            raise InvalidDelta(f"delta = {delta!r} outside (0, 1/2)")
-        self.delta = float(delta)
+    delta is DELTA_UNIVERSAL, the one margin the construction uses: find_h
+    and the bracket check place the window inside [k + delta, k + 1 - delta]
+    for that delta alone.
+    """
+
+    def __init__(self):
+        self.delta = DELTA_UNIVERSAL
 
     @functools.cached_property
     def sup_d2(self) -> float:

@@ -60,6 +60,9 @@ _CHUNK = 2048
 # error floor relative to the panel value, so reported errors never
 # understate plain rounding noise
 _NOISE = 2.0 ** -50
+# absolute floor of a column's error budget, so a vanishing integral does
+# not demand error estimates of exactly zero
+_BUDGET_FLOOR = 1e-300
 
 # an integrand's values at the nodes: one array, or a tuple of columns
 Columns = np.ndarray | tuple[np.ndarray, ...]
@@ -84,24 +87,24 @@ class QuadratureSpec:
 
     base_order   fixed Gauss-Legendre order per panel
     rel_tol      target relative error for the whole integral
-    abs_tol      absolute floor for the error budget
     max_depth    bisection levels allowed below the initial panels
+
+    The error budget is rel_tol times the integral's absolute mass, floored
+    at _BUDGET_FLOOR.
     """
 
     base_order: int = 16
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-300
     max_depth: int = 30
 
     def __post_init__(self):
-        if not (2 <= self.base_order <= 64):
-            raise ValueError("base_order must be in [2, 64]")
+        # type(), not isinstance(): bool is a subclass of int
+        if type(self.base_order) is not int or not 2 <= self.base_order <= 64:
+            raise ValueError(f"base_order must be an integer in [2, 64], not {self.base_order!r}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must be in (0, 1)")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be nonnegative")
-        if not (1 <= self.max_depth <= 60):
-            raise ValueError("max_depth must be in [1, 60]")
+        if type(self.max_depth) is not int or not 1 <= self.max_depth <= 60:
+            raise ValueError(f"max_depth must be an integer in [1, 60], not {self.max_depth!r}")
 
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -381,7 +384,7 @@ class _Column:
         lo, hi = self.lo, self.hi
         abs_val = np.abs(value)
         scale = self.done_abs_sum + float(np.sum(abs_val))
-        budget = max(spec.abs_tol, spec.rel_tol * scale)
+        budget = max(_BUDGET_FLOOR, spec.rel_tol * scale)
         # split the budget half by length, half by value mass, so very
         # narrow panels are not starved of tolerance they cannot use
         len_frac = (hi - lo) / total_len

@@ -365,18 +365,16 @@ def build_base_profile(config: ManifoldConfig) -> WarpingProfile:
     return profile
 
 
-def plan_window(
-    config: ManifoldConfig,
-    h: float,
-    n_teeth: int,
-    smooth_halfwidth: float | None = None,
-) -> SawtoothWindow:
+def plan_window(config: ManifoldConfig, h: float, n_teeth: int) -> SawtoothWindow:
     """Size an oscillation window starting at h.
 
     m = 2: the unit window [h, h+1] with drifting teeth spanning the strip.
     m >= 3: cube side eta = min over [h, h+1] of ((t+1)^alpha - t^alpha) / 10,
     attained at t = h+1 since the gap decreases, resting on base = (h+eta)^alpha.
-    Raises CubeDoesNotFit when the cube pokes above the strip ceiling.
+    Every corner blends over the halfwidth
+    max(min(step/100, step^10), 64 float spacings at the window's end).
+    Raises CubeDoesNotFit when the cube pokes above the strip ceiling, or
+    when n is so large that that halfwidth is no longer below step/2.
     """
     if not h > 1.0:
         raise ValueError("window start h must exceed 1")
@@ -402,13 +400,11 @@ def plan_window(
                 f"cube top {base + amplitude!r} above strip ceiling {ceiling!r} at h = {h!r}"
             )
     step = width / (2.0 * n_teeth)
-    if smooth_halfwidth is None:
-        smooth_halfwidth = max(
-            min(step / 100.0, step**10),
-            64.0 * float(np.spacing(h + width + 1.0)),
-        )
-    smooth_halfwidth = float(smooth_halfwidth)
-    if not 0.0 < smooth_halfwidth < 0.5 * step:
+    smooth_halfwidth = max(
+        min(step / 100.0, step**10),
+        64.0 * float(np.spacing(h + width + 1.0)),
+    )
+    if not smooth_halfwidth < 0.5 * step:
         raise CubeDoesNotFit(
             f"smoothing halfwidth {smooth_halfwidth!r} must lie in (0, step/2)"
         )

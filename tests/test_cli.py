@@ -183,6 +183,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"n_teeth": 4}))
     assert main(["build", "--config", str(config)]) == 1
     assert "n_teeth" in capsys.readouterr().err
+    # the blend halfwidth and the quadrature's absolute floor are fixed
+    config.write_text(json.dumps({"smooth_halfwidth": None}))
+    assert main(["build", "--config", str(config)]) == 1
+    assert "unknown config keys: ['smooth_halfwidth']" in capsys.readouterr().err
+    config.write_text(json.dumps({"quad": {"abs_tol": 1e-300}}))
+    assert main(["build", "--config", str(config)]) == 1
+    assert "config key 'quad'" in capsys.readouterr().err
     # sweep runs serially; a worker count is not a config key
     config.write_text(json.dumps({"workers": 2, "grid": _GRID}))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
@@ -196,8 +203,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("build", {"quad": {"base_order": "x"}}),
         ("sweep", {"grid": {**_GRID, "p": [None]}}),
         ("sweep", {"grid": {**_GRID, "p": 2.0}}),
+        ("build", {"m": 2.7}),
+        ("build", {"n": "4"}),
+        ("build", {"n": True}),
+        ("build", {"quad": {"base_order": 8.5}}),
     ],
-    ids=["list-m", "string-quad-order", "null-grid-value", "scalar-grid-axis"],
+    ids=[
+        "list-m",
+        "string-quad-order",
+        "null-grid-value",
+        "scalar-grid-axis",
+        "fractional-m",
+        "string-n",
+        "bool-n",
+        "fractional-quad-order",
+    ],
 )
 def test_wrongly_typed_config_value_exits_one(tmp_path, capsys, command, doc):
     config = tmp_path / "typed.json"
@@ -207,6 +227,19 @@ def test_wrongly_typed_config_value_exits_one(tmp_path, capsys, command, doc):
         argv += ["--out", str(tmp_path / "x.csv")]
     assert main(argv) == 1
     assert "must" in capsys.readouterr().err
+
+
+def test_defaults_come_from_the_library():
+    # only the fields ExperimentConfig requires get a value from the CLI
+    args = cli._build_parser().parse_args(["norms"])
+    assert cli._experiment_config(args, {}) == ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1)
+
+
+@pytest.mark.parametrize("flag", ["--smooth-halfwidth", "--quad-abs-tol"])
+def test_removed_flags_exit_two(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", flag, "1.0"])
+    assert exc.value.code == 2
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -221,6 +254,11 @@ def test_flags_override_config_file(tmp_path, capsys):
 def test_invalid_exponent_exits_one(capsys):
     assert main(["norms", "--m", "2", "--p", "0.5", "--k", "2", "--n", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_constant_exits_one(capsys):
+    assert main(["norms", "--m", "2", "--p", "2", "--k", "2", "--n", "2", "--C1", "nan"]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_quadrature_blowup_exits_four(capsys):

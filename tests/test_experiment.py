@@ -47,6 +47,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, C1=-1.0)
     with pytest.raises(ValueError):
+        ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, C1=math.nan)
+    with pytest.raises(ValueError):
+        ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, C2=math.inf)
+    with pytest.raises(ValueError):
         ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, r_cap=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, strip_samples=1)

@@ -13,7 +13,6 @@ from czwarp.experiment import ExperimentConfig, build_construction
 from czwarp.green import DELTA_UNIVERSAL, GreenFunction, find_h
 from czwarp.norms import (
     CutoffFunction,
-    InvalidDelta,
     TestFunction,
     audit_norm_chain,
     hessian_components,
@@ -81,13 +80,6 @@ def test_cutoff_stays_between_zero_and_identity():
     assert np.all(phi <= s + 1e-15)
 
 
-def test_invalid_delta():
-    with pytest.raises(InvalidDelta):
-        CutoffFunction(0.6)
-    with pytest.raises(InvalidDelta):
-        CutoffFunction(0.0)
-
-
 def test_sup_d2_above_ramp_lower_bound():
     # any C^1 ramp climbing 0 -> 1 over width delta/2 has sup|w''| >= 4/(delta/2)^2,
     # so the scanned sup must clear it; finiteness guards the scan itself
@@ -97,8 +89,7 @@ def test_sup_d2_above_ramp_lower_bound():
     assert cut.sup_d2 >= 4.0 / half**2
 
 
-@pytest.mark.parametrize("delta", [DELTA_UNIVERSAL, 0.1, 0.3])
-def test_sup_d2_scanned_on_first_use(delta, monkeypatch):
+def test_sup_d2_scanned_on_first_use(monkeypatch):
     calls = []
     eval_many = CutoffFunction.eval_many
 
@@ -107,7 +98,7 @@ def test_sup_d2_scanned_on_first_use(delta, monkeypatch):
         return eval_many(self, s)
 
     monkeypatch.setattr(CutoffFunction, "eval_many", counting)
-    cut = CutoffFunction(delta)
+    cut = CutoffFunction()
     assert calls == []
     sup = cut.sup_d2
     assert calls == [40002]
@@ -116,8 +107,8 @@ def test_sup_d2_scanned_on_first_use(delta, monkeypatch):
     # the scan the constructor used to run eagerly, bit for bit
     grid = np.concatenate(
         [
-            np.linspace(0.5 * delta, delta, 20001),
-            np.linspace(1.0 - delta, 1.0 - 0.5 * delta, 20001),
+            np.linspace(0.5 * DELTA_UNIVERSAL, DELTA_UNIVERSAL, 20001),
+            np.linspace(1.0 - DELTA_UNIVERSAL, 1.0 - 0.5 * DELTA_UNIVERSAL, 20001),
         ]
     )
     assert sup == float(np.max(np.abs(eval_many(cut, grid)[2])))

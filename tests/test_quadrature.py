@@ -130,9 +130,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=2.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
+    # orders and depths are integers: a fraction or a bool is a typo
+    with pytest.raises(ValueError):
+        QuadratureSpec(base_order=8.5)
+    with pytest.raises(ValueError):
+        QuadratureSpec(max_depth=2.5)
+    with pytest.raises(ValueError):
+        QuadratureSpec(base_order=True)
 
 
 def test_interval_validation():

@@ -253,8 +253,9 @@ def test_plan_window_validation():
         plan_window(cfg, 0.5, 4)
     with pytest.raises(ValueError):
         plan_window(cfg, 9.0, 0)
+    # so many teeth that the blend halfwidth's float floor reaches step/2
     with pytest.raises(CubeDoesNotFit):
-        plan_window(cfg, 9.0, 4, smooth_halfwidth=1.0)
+        plan_window(cfg, 9.0, 2**40)
 
 
 def test_eval_purity_and_determinism():
