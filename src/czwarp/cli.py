@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -144,7 +145,7 @@ def _report_doc(report: CZReport) -> dict:
         "quad_err": report.norms.quad_err,
         "lhs": report.lhs,
         "rhs": report.rhs,
-        "ratio": report.ratio,
+        "ratio": _json_ratio(report.ratio),
         "violated": report.violated,
         "audit_pass": report.audit.overall_pass,
         "audit": [
@@ -159,8 +160,13 @@ def _report_doc(report: CZReport) -> dict:
     }
 
 
+def _json_ratio(ratio: float) -> float | None:
+    """lhs / rhs for a JSON document: null when rhs is 0 and the ratio is infinite."""
+    return ratio if math.isfinite(ratio) else None
+
+
 def _emit_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -243,7 +249,7 @@ def _cmd_violate(args: argparse.Namespace) -> int:
     }
     if n_star is not None:
         hit = next(r for r in reversed(trace) if r.config.n_teeth == n_star)
-        doc.update(lhs=hit.lhs, rhs=hit.rhs, ratio=hit.ratio)
+        doc.update(lhs=hit.lhs, rhs=hit.rhs, ratio=_json_ratio(hit.ratio))
     _emit_json(doc, None)
     return 0 if n_star is not None else 2
 

@@ -103,7 +103,11 @@ class CZReport:
 
 def _table_r_max(cfg: ExperimentConfig) -> float:
     # Ginv(k+1) <= 2 e^(k+1) - 1 for in-strip profiles; the 2.2 e^(k+1.05)
-    # headroom keeps s_max past k+1 with room for find_h's right-end check
+    # headroom keeps s_max past k+1 with room for find_h's right-end check.
+    # Past log(r_cap / 2.2) the cap wins, and exp would overflow for k
+    # above about 708, so that comparison comes first
+    if cfg.k + 1.05 > math.log(cfg.r_cap / 2.2):
+        return cfg.r_cap
     return min(cfg.r_cap, 2.2 * math.exp(cfg.k + 1.05))
 
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .quadrature import BoundAudit
-from .warping import BLEND, CAP, LINEAR, POWER, WarpingProfile
+from .warping import BLEND, CAP, LINEAR, POWER, WarpingProfile, _by_kind
 
 __all__ = [
     "DELTA_UNIVERSAL",
@@ -50,8 +50,14 @@ class WindowTooNarrow(ValueError):
     """The unit Green-coordinate window does not fit above the requested level."""
 
 
-def _blend_quad(profile: WarpingProfile, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Midpoint rule for sigma^(1-m) across (parts of) corner blends.
+# interval class of a LINEAR row with zero slope, next to the piece kinds
+_FLAT = 4
+
+
+def _blend_quad(
+    profile: WarpingProfile, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Midpoint rule for sigma^(1-m) across corner blends; rows hold the midpoints.
 
     Blends are at most a step/50 sliver where sigma moves by a relative
     1e-9 or less, so the midpoint value is already accurate to ~1e-20 of
@@ -59,11 +65,40 @@ def _blend_quad(profile: WarpingProfile, lo: np.ndarray, hi: np.ndarray) -> np.n
     """
     em = 1.0 - profile.config.m
     mid = 0.5 * (lo + hi)
-    return (hi - lo) * profile.eval_many(mid)[0] ** em
+    return (hi - lo) * profile._eval_rows(rows, mid)[0] ** em
+
+
+def _clip_checked(x: np.ndarray, lo: float, hi: float, message: str) -> np.ndarray:
+    """x clipped into [lo, hi]; x itself when it already lies inside.
+
+    Entries within a relative 1e-9 outside are roundoff and get clipped;
+    the first entry beyond that, or not finite, raises OutOfRange with
+    message formatted around it.
+    """
+    if not x.size or (lo <= x.min() and x.max() <= hi):
+        return x
+    slack = 1e-9 * (1.0 + np.abs(x))
+    bad = (x < lo - slack) | (x > hi + slack) | ~np.isfinite(x)
+    if np.any(bad):
+        raise OutOfRange(message.format(x[bad][0]))
+    return np.clip(x, lo, hi)
+
+
+def _interval(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index i of the table interval [table[i], table[i+1]) holding each x."""
+    idx = np.searchsorted(table, x, side="right") - 1
+    return np.clip(idx, 0, table.size - 2, out=idx)
 
 
 class GreenFunction:
-    """Tabulated G and its inverse for one profile on [1, r_max]."""
+    """Tabulated G and its inverse for one profile on [1, r_max].
+
+    Checkpoint interval i, [_r_tab[i], _r_tab[i+1]], lies inside profile row
+    _rows[i].  _kinds[i] is that row's kind, or _FLAT for a zero-slope
+    LINEAR row, and _anchor[i] the constant G and G^-1 need there: lo + c
+    on POWER rows, sigma(lo) on LINEAR rows and the mean of sigma^(1-m)
+    over the interval on BLEND rows.
+    """
 
     def __init__(self, profile: WarpingProfile, r_max: float):
         if not (math.isfinite(r_max) and r_max > 1.0):
@@ -86,153 +121,138 @@ class GreenFunction:
                 fills = (lo + c) * ratio ** np.arange(1, count + 1) - c
                 pts.append(fills[(fills > lo) & (fills < hi)])
         cps = np.unique(np.concatenate(pts))
-        mids = 0.5 * (cps[:-1] + cps[1:])
-        rows = profile.piece_index(mids)
-        if np.any(profile.piece_kinds[rows] == CAP):
+        lo, hi = cps[:-1], cps[1:]
+        rows = profile.piece_index(0.5 * (lo + hi))
+        kinds = profile.piece_kinds[rows].astype(np.int8)
+        if np.any(kinds == CAP):
             raise ValueError("Green table may not cover the cap region t < 1")
+
+        params = profile.piece_params
+        anchor = np.empty_like(lo)
+        sel = np.flatnonzero(kinds == POWER)
+        anchor[sel] = lo[sel] + params[rows[sel], 0]
+        sel = np.flatnonzero(kinds == LINEAR)
+        tr, yr, a = params[rows[sel]].T
+        anchor[sel] = yr + a * (lo[sel] - tr)
+        kinds[sel[a == 0.0]] = _FLAT
+        # partial integrals across a blend interval interpolate the table
+        # linearly; the integrand drifts by ~1e-9 across such a sliver, so
+        # the mean slope is exact at both edges and 1e-20-accurate inside
+        sel = np.flatnonzero(kinds == BLEND)
+        blend_seg = _blend_quad(profile, rows[sel], lo[sel], hi[sel])
+        anchor[sel] = blend_seg / (hi[sel] - lo[sel])
+
         self._r_tab = cps
         self._rows = rows
-        seg = self._segments(cps[:-1], cps[1:], rows)
+        self._kinds = kinds
+        self._anchor = anchor
+        seg = self._partial(np.arange(lo.size), hi)
+        seg[sel] = blend_seg
         g = np.concatenate([[0.0], np.cumsum(seg)])
         if np.any(np.diff(g) <= 0.0):
             raise ValueError("Green table is not strictly increasing")
         self._g_tab = g
-        # partial integrals across a blend interval interpolate the table
-        # linearly; the integrand drifts by ~1e-9 across such a sliver, so
-        # the mean slope is exact at both edges and 1e-20-accurate inside
-        kinds = profile.piece_kinds[rows]
-        with np.errstate(invalid="ignore"):
-            self._mean = np.where(kinds == BLEND, seg / np.diff(cps), np.nan)
-        for arr in (self._r_tab, self._g_tab, self._rows, self._mean):
+        for arr in (self._r_tab, self._g_tab, self._rows, self._kinds, self._anchor):
             arr.flags.writeable = False
 
-    def _segments(self, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Integral of sigma^(1-m) on [lo_i, hi_i], each inside piece rows_i."""
-        prof = self.profile
-        m = prof.config.m
-        out = np.zeros_like(lo)
-        kinds = prof.piece_kinds[rows]
-        pp = prof.piece_params[rows]
-
-        mask = kinds == POWER
-        if np.any(mask):
-            c = pp[mask, 0]
-            out[mask] = np.log((hi[mask] + c) / (lo[mask] + c))
-
-        mask = kinds == LINEAR
-        if np.any(mask):
-            tr, yr, a = pp[mask, 0], pp[mask, 1], pp[mask, 2]
-            l0 = yr + a * (lo[mask] - tr)
-            l1 = yr + a * (hi[mask] - tr)
-            vals = np.empty_like(l0)
-            flat = a == 0.0
-            if np.any(flat):
-                vals[flat] = (hi[mask][flat] - lo[mask][flat]) * yr[flat] ** (1 - m)
-            steep = ~flat
-            if np.any(steep):
-                if m == 2:
-                    vals[steep] = np.log(l1[steep] / l0[steep]) / a[steep]
-                else:
-                    q = 2.0 - m
-                    vals[steep] = (l1[steep] ** q - l0[steep] ** q) / (q * a[steep])
-            out[mask] = vals
-
-        mask = kinds == BLEND
-        if np.any(mask):
-            out[mask] = _blend_quad(prof, lo[mask], hi[mask])
-        return out
-
     def _partial(self, idx: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Integral from the checkpoint at idx to r (inside interval idx)."""
-        lo = self._r_tab[idx]
+        """Integral of sigma^(1-m) from the checkpoint at idx to r, inside interval idx."""
+        return _by_kind(self._kinds[idx], 1, self._partial_of, idx, r)[0]
+
+    def _partial_of(self, kind: int, idx: np.ndarray, r: np.ndarray) -> tuple[np.ndarray]:
+        """_partial on intervals that are all of one kind class."""
+        anchor = self._anchor[idx]
+        m = self.profile.config.m
+        if kind == BLEND:
+            return ((r - self._r_tab[idx]) * anchor,)
+        if kind == _FLAT:
+            return ((r - self._r_tab[idx]) * anchor ** (1 - m),)
+        params = self.profile.piece_params
         rows = self._rows[idx]
-        blend = np.isfinite(self._mean[idx])
-        if not np.any(blend):
-            return self._segments(lo, r, rows)
-        out = np.empty_like(r)
-        plain = ~blend
-        if np.any(plain):
-            out[plain] = self._segments(lo[plain], r[plain], rows[plain])
-        out[blend] = (r[blend] - lo[blend]) * self._mean[idx[blend]]
-        return out
+        if kind == POWER:
+            return (np.log((r + params[rows, 0]) / anchor),)
+        tr, yr, a = params[rows].T
+        l1 = yr + a * (r - tr)
+        if m == 2:
+            return (np.log(l1 / anchor) / a,)
+        q = 2.0 - m
+        return ((l1**q - anchor**q) / (q * a),)
+
+    def _inverse_of(self, kind: int, idx: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray]:
+        """Radius where the integral from checkpoint idx reaches ds, for one kind class."""
+        anchor = self._anchor[idx]
+        m = self.profile.config.m
+        r0 = self._r_tab[idx]
+        if kind == BLEND:
+            return (r0 + ds / anchor,)
+        if kind == _FLAT:
+            return (r0 + ds * anchor ** (m - 1),)
+        params = self.profile.piece_params
+        rows = self._rows[idx]
+        if kind == POWER:
+            c = params[rows, 0]
+            return (anchor * np.exp(ds) - c,)
+        a = params[rows, 2]
+        if m == 2:
+            return (r0 + anchor * np.expm1(a * ds) / a,)
+        q = 2.0 - m
+        l1 = (anchor**q + q * a * ds) ** (1.0 / q)
+        return (r0 + (l1 - anchor) / a,)
 
     @property
     def s_max(self) -> float:
         return float(self._g_tab[-1])
 
+    def _value_rows(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G at flat radii r, and the profile row that holds each r.
+
+        Every knot is a checkpoint, so the table's lookup already names the
+        row of each r in [1, r_max); r_max itself, and radii clipped in from
+        just outside, are looked up in the profile again.
+        """
+        x = _clip_checked(r, 1.0, self.r_max, f"radius {{!r}} outside [1, {self.r_max!r}]")
+        idx = _interval(self._r_tab, x)
+        g = self._g_tab[idx] + self._partial(idx, x)
+        rows = self._rows[idx]
+        if x is not r or (r.size and r.max() >= self.r_max):
+            edge = np.flatnonzero((r < 1.0) | (r >= self.r_max))
+            rows[edge] = self.profile.piece_index(r[edge])
+        return g, rows
+
     def value_many(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        flat = np.ravel(r).copy()
-        slack = 1e-9 * (1.0 + np.abs(flat))
-        bad = (flat < 1.0 - slack) | (flat > self.r_max + slack) | ~np.isfinite(flat)
-        if np.any(bad):
-            raise OutOfRange(
-                f"radius {flat[bad][0]!r} outside [1, {self.r_max!r}]"
-            )
-        np.clip(flat, 1.0, self.r_max, out=flat)
-        idx = np.searchsorted(self._r_tab, flat, side="right") - 1
-        idx = np.clip(idx, 0, len(self._r_tab) - 2)
-        g = self._g_tab[idx] + self._partial(idx, flat)
-        return g.reshape(r.shape)
+        return self._value_rows(np.ravel(r))[0].reshape(r.shape)
 
     def value(self, r: float) -> float:
         return float(self.value_many(np.asarray([float(r)]))[0])
 
+    def _inverse_rows(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G^-1 at flat levels s, and the profile row that holds each radius.
+
+        A radius inside its checkpoint interval lies in the interval's row;
+        one that lands on the interval's right end is looked up again.
+        """
+        top = self.s_max
+        x = _clip_checked(
+            s,
+            0.0,
+            top,
+            f"Green coordinate {{!r}} outside [0, {top!r}]; "
+            "rebuild with a larger r_max to reach higher levels",
+        )
+        idx = _interval(self._g_tab, x)
+        r = _by_kind(self._kinds[idx], 1, self._inverse_of, idx, x - self._g_tab[idx])[0]
+        r1 = self._r_tab[1:][idx]
+        np.clip(r, self._r_tab[idx], r1, out=r)
+        rows = self._rows[idx]
+        edge = np.flatnonzero(r == r1)
+        if edge.size:
+            rows[edge] = self.profile.piece_index(r[edge])
+        return r, rows
+
     def inverse_many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        flat = np.ravel(s).copy()
-        top = self.s_max
-        slack = 1e-9 * (1.0 + np.abs(flat))
-        bad = (flat < -slack) | (flat > top + slack) | ~np.isfinite(flat)
-        if np.any(bad):
-            raise OutOfRange(
-                f"Green coordinate {flat[bad][0]!r} outside [0, {top!r}]; "
-                "rebuild with a larger r_max to reach higher levels"
-            )
-        np.clip(flat, 0.0, top, out=flat)
-        idx = np.searchsorted(self._g_tab, flat, side="right") - 1
-        idx = np.clip(idx, 0, len(self._g_tab) - 2)
-        ds = flat - self._g_tab[idx]
-        r0 = self._r_tab[idx]
-        r1 = self._r_tab[idx + 1]
-        rows = self._rows[idx]
-
-        prof = self.profile
-        m = prof.config.m
-        kinds = prof.piece_kinds[rows]
-        pp = prof.piece_params[rows]
-        out = np.empty_like(flat)
-
-        mask = kinds == POWER
-        if np.any(mask):
-            c = pp[mask, 0]
-            out[mask] = (r0[mask] + c) * np.exp(ds[mask]) - c
-
-        mask = kinds == LINEAR
-        if np.any(mask):
-            tr, yr, a = pp[mask, 0], pp[mask, 1], pp[mask, 2]
-            l0 = yr + a * (r0[mask] - tr)
-            r_new = np.empty_like(l0)
-            flat_a = a == 0.0
-            if np.any(flat_a):
-                r_new[flat_a] = r0[mask][flat_a] + ds[mask][flat_a] * yr[flat_a] ** (m - 1)
-            steep = ~flat_a
-            if np.any(steep):
-                if m == 2:
-                    grow = np.expm1(a[steep] * ds[mask][steep])
-                    r_new[steep] = r0[mask][steep] + l0[steep] * grow / a[steep]
-                else:
-                    q = 2.0 - m
-                    l1 = (l0[steep] ** q + q * a[steep] * ds[mask][steep]) ** (1.0 / q)
-                    r_new[steep] = r0[mask][steep] + (l1 - l0[steep]) / a[steep]
-            out[mask] = r_new
-
-        mask = kinds == BLEND
-        if np.any(mask):
-            out[mask] = r0[mask] + ds[mask] / self._mean[idx[mask]]
-
-        np.clip(out, r0, r1, out=out)
-        return out.reshape(s.shape)
+        return self._inverse_rows(np.ravel(s))[0].reshape(s.shape)
 
     def inverse(self, s: float) -> float:
         return float(self.inverse_many(np.asarray([float(s)]))[0])

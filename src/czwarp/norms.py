@@ -134,11 +134,17 @@ class TestFunction:
         return self.green.value_many(r) - self.k
 
     def _sweep(self, r: np.ndarray):
-        """phi, phi', phi'' at s = G(r) - k and sigma, sigma', once per node."""
+        """phi, phi', phi'' at s = G(r) - k and sigma, sigma', once per node.
+
+        sigma is evaluated on the profile rows of the Green table's lookup,
+        so each node is looked up once.
+        """
         r = np.asarray(r, dtype=float)
-        phi, dphi, d2phi = self.cutoff.eval_many(self.s_many(r))
-        sigma, dsigma, _ = self.green.profile.eval_many(r)
-        return phi, dphi, d2phi, sigma, dsigma
+        flat = np.ravel(r)
+        g, rows = self.green._value_rows(flat)
+        sigma, dsigma, _ = self.green.profile._eval_rows(rows, flat)
+        phi, dphi, d2phi = self.cutoff.eval_many((g - self.k).reshape(r.shape))
+        return phi, dphi, d2phi, sigma.reshape(r.shape), dsigma.reshape(r.shape)
 
     def _chain(
         self, dphi: np.ndarray, d2phi: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray
@@ -349,9 +355,9 @@ def _s_integrals(
     picked = [terms[f] for f in fields]
 
     def integrand(s: np.ndarray) -> tuple[np.ndarray, ...]:
+        r, rows = tf.green._inverse_rows(tf.k + s)
+        sigma = tf.green.profile._eval_rows(rows, r)[0]
         phi = tf.cutoff.eval_many(s)
-        r = tf.green.inverse_many(tf.k + s)
-        sigma = tf.green.profile.eval_many(r)[0]
         return tuple(np.abs(phi[j]) ** p * sigma**e for j, e in picked)
 
     brk, slivers = _s_panels(tf)

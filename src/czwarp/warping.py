@@ -119,9 +119,33 @@ class SawtoothWindow:
 _XCUT = 0.01
 
 
+def _smoothstep_inside(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_smoothstep for x strictly inside (_XCUT, 1 - _XCUT).
+
+    The second-derivative terms come first and each temporary is dropped
+    once used, to keep the peak memory of a call low.
+    """
+    x1 = 1.0 - x
+    b = np.exp(-1.0 / x)
+    b1 = np.exp(-1.0 / x1)
+    bpp = b * (1.0 - 2.0 * x) / x**4
+    b1pp = b1 * (1.0 - 2.0 * x1) / x1**4
+    dnum = bpp * b1 - b * b1pp
+    del bpp, b1pp
+    bp = b / x**2
+    b1p = b1 / x1**2
+    num = bp * b1 + b * b1p
+    dden = bp - b1p
+    del bp, b1p, x1
+    den = b + b1
+    return b / den, num / den**2, dnum / den**2 - 2.0 * num * dden / den**3
+
+
 def _smoothstep(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C-infinity step on [0, 1] with its first two derivatives in x."""
     x = np.asarray(x, dtype=float)
+    if x.size and x.min() > _XCUT and x.max() < 1.0 - _XCUT:
+        return _smoothstep_inside(x)
     s = np.empty_like(x)
     sp = np.zeros_like(x)
     spp = np.zeros_like(x)
@@ -131,48 +155,45 @@ def _smoothstep(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s[hi] = 1.0
     mid = ~(lo | hi)
     if np.any(mid):
-        xm = x[mid]
-        x1 = 1.0 - xm
-        b = np.exp(-1.0 / xm)
-        b1 = np.exp(-1.0 / x1)
-        bp = b / xm**2
-        b1p = b1 / x1**2
-        bpp = b * (1.0 - 2.0 * xm) / xm**4
-        b1pp = b1 * (1.0 - 2.0 * x1) / x1**4
-        den = b + b1
-        num = bp * b1 + b * b1p
-        dden = bp - b1p
-        dnum = bpp * b1 - b * b1pp
-        s[mid] = b / den
-        sp[mid] = num / den**2
-        spp[mid] = dnum / den**2 - 2.0 * num * dden / den**3
+        s[mid], sp[mid], spp[mid] = _smoothstep_inside(x[mid])
     return s, sp, spp
 
 
-def _plain_formula(
-    kind: int,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    t: np.ndarray,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if kind == POWER:
-        u = t + p0
-        y = u**alpha
-        dy = alpha * u ** (alpha - 1.0)
-        d2y = alpha * (alpha - 1.0) * u ** (alpha - 2.0)
-        return y, dy, d2y
-    if kind == LINEAR:
-        y = p1 + p2 * (t - p0)
-        return y, p2 * np.ones_like(t), np.zeros_like(t)
-    if kind == CAP:
-        t2 = t * t
-        y = t + t2 * t * (p0 + t * (p1 + t * p2))
-        dy = 1.0 + t2 * (3.0 * p0 + t * (4.0 * p1 + t * 5.0 * p2))
-        d2y = t * (6.0 * p0 + t * (12.0 * p1 + t * 20.0 * p2))
-        return y, dy, d2y
-    raise ValueError(f"unknown plain piece kind {kind}")
+# most elements one kernel pass holds.  An integrand call of the usual
+# rules (2048 panels of 8 or 16 nodes) and its blend nodes' neighbour pair
+# stay whole; longer inputs, such as the strip audit and the Green table
+# build over every knot, run a block at a time, so their temporaries do
+# not grow with the number of pieces
+_BLOCK = 1 << 16
+
+
+def _by_kind(kinds: np.ndarray, width: int, fn, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn(kind, *arrays) run once per kind present, on that kind's elements.
+
+    kinds and arrays are flat and equally long; fn returns width float
+    arrays shaped like its inputs, which are put back in place.  When one
+    kind covers every element, fn gets the arrays as they are and its
+    result is returned without a gather or a scatter; an empty input counts
+    as POWER.  Inputs longer than _BLOCK run a block at a time.
+    """
+    first = int(kinds[0]) if kinds.size else POWER
+    if kinds.size <= _BLOCK and np.all(kinds == first):
+        return fn(first, *arrays)
+    # the outputs are allocated before any part is computed; allocated
+    # after the first part, they left the heap fragmented and raised the
+    # peak RSS of a 2^15 cell
+    outs = tuple(np.empty(kinds.shape) for _ in range(width))
+    if kinds.size > _BLOCK:
+        for i in range(0, kinds.size, _BLOCK):
+            sl = slice(i, i + _BLOCK)
+            for out, v in zip(outs, _by_kind(kinds[sl], width, fn, *(a[sl] for a in arrays))):
+                out[sl] = v
+        return outs
+    for kind in np.flatnonzero(np.bincount(kinds)):
+        sel = np.flatnonzero(kinds == kind)
+        for out, v in zip(outs, fn(int(kind), *(a[sel] for a in arrays))):
+            out[sel] = v
+    return outs
 
 
 class WarpingProfile:
@@ -261,57 +282,79 @@ class WarpingProfile:
         idx = np.searchsorted(self.piece_t0, t, side="right") - 1
         return np.clip(idx, 0, self.piece_t0.size - 1)
 
-    def _eval_plain(
+    def _piece(
+        self, kind: int, rows: np.ndarray, t: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sigma, sigma', sigma'') at t of piece rows that are all of one kind."""
+        if kind == BLEND:
+            return self._blend(rows, t)
+        alpha = self.config.alpha
+        params = self.piece_params
+        if kind == POWER:
+            u = t + params[rows, 0]
+            return (
+                u**alpha,
+                alpha * u ** (alpha - 1.0),
+                alpha * (alpha - 1.0) * u ** (alpha - 2.0),
+            )
+        if kind == LINEAR:
+            # p1 + p2 (t - p0), built in place
+            slope = params[rows, 2]
+            y = t - params[rows, 0]
+            y *= slope
+            y += params[rows, 1]
+            return y, slope, np.zeros_like(t)
+        p0, p1, p2 = (params[rows, j] for j in range(3))
+        t2 = t * t
+        return (
+            t + t2 * t * (p0 + t * (p1 + t * p2)),
+            1.0 + t2 * (3.0 * p0 + t * (4.0 * p1 + t * 5.0 * p2)),
+            t * (6.0 * p0 + t * (12.0 * p1 + t * 20.0 * p2)),
+        )
+
+    def _blend(
         self, rows: np.ndarray, t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Closed-form POWER, LINEAR and CAP rows; BLEND entries are left unset."""
-        alpha = self.config.alpha
-        y = np.empty_like(t)
-        dy = np.empty_like(t)
-        d2y = np.empty_like(t)
-        kinds = self.piece_kinds[rows]
-        pp = self.piece_params[rows]
-        for kind in (POWER, LINEAR, CAP):
-            mask = kinds == kind
-            if np.any(mask):
-                yv, d1, d2 = _plain_formula(
-                    kind, pp[mask, 0], pp[mask, 1], pp[mask, 2], t[mask], alpha
-                )
-                y[mask] = yv
-                dy[mask] = d1
-                d2y[mask] = d2
-        return y, dy, d2y
+        """BLEND rows: both neighbours evaluated in one call, then mixed.
+
+        Temporaries are dropped once used, to keep the peak memory of a
+        call low.
+        """
+        t0 = self.piece_t0[rows]
+        width = self.piece_t1[rows] - t0
+        s, sp, spp = _smoothstep((t - t0) / width)
+        del t0
+        k = rows.size
+        sides = np.empty(2 * k, dtype=rows.dtype)
+        np.subtract(rows, 1, out=sides[:k])
+        np.add(rows, 1, out=sides[k:])
+        both = _by_kind(self.piece_kinds[sides], 3, self._piece, sides, np.concatenate((t, t)))
+        del sides
+        (yl, yr), (dl, dr), (d2l, d2r) = (np.split(v, 2) for v in both)
+        gap = yr - yl
+        slope = sp / width
+        return (
+            yl + s * gap,
+            dl + s * (dr - dl) + slope * gap,
+            d2l + s * (d2r - d2l) + 2.0 * slope * (dr - dl) + (spp / width**2) * gap,
+        )
 
     def _eval_rows(
         self, rows: np.ndarray, t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        y, dy, d2y = self._eval_plain(rows, t)
-        mask = self.piece_kinds[rows] == BLEND
-        if np.any(mask):
-            rws = rows[mask]
-            tm = t[mask]
-            t0 = self.piece_t0[rws]
-            width = self.piece_t1[rws] - t0
-            x = (tm - t0) / width
-            s, sp, spp = _smoothstep(x)
-            yl, dl, d2l = self._eval_plain(rws - 1, tm)
-            yr, dr, d2r = self._eval_plain(rws + 1, tm)
-            y[mask] = yl + s * (yr - yl)
-            dy[mask] = dl + s * (dr - dl) + (sp / width) * (yr - yl)
-            d2y[mask] = (
-                d2l
-                + s * (d2r - d2l)
-                + 2.0 * (sp / width) * (dr - dl)
-                + (spp / width**2) * (yr - yl)
-            )
-        return y, dy, d2y
+        """(sigma, sigma', sigma'') of piece rows[i] at t[i], for flat rows and t.
+
+        The kernel behind every sigma evaluation: each piece kind runs once,
+        on its own nodes.  rows must hold each t, as piece_index(t) or a
+        caller's own lookup of the same rows.
+        """
+        return _by_kind(self.piece_kinds[rows], 3, self._piece, rows, t)
 
     def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sigma, sigma', sigma'') at an array of radii; pure and deterministic."""
         t = np.asarray(t, dtype=float)
         flat = np.ravel(t)
-        rows = self.piece_index(flat)
-        y, dy, d2y = self._eval_rows(rows, flat)
+        y, dy, d2y = self._eval_rows(self.piece_index(flat), flat)
         return y.reshape(t.shape), dy.reshape(t.shape), d2y.reshape(t.shape)
 
     def eval(self, t: float) -> tuple[float, float, float]:
@@ -556,12 +599,12 @@ def insert_sawtooth(profile: WarpingProfile, window: SawtoothWindow) -> WarpingP
 
 
 def audit_strip(
-    profile: WarpingProfile, t_min: float, t_max: float, samples: int = 2048
+    profile: WarpingProfile, t_min: float, t_max: float, samples: int
 ) -> BoundAudit:
     """Check t^alpha <= sigma(t) <= (t+1)^alpha on [t_min, t_max].
 
-    The sample set contains every knot in range plus a uniform fill.
-    Violations are relative; touching the boundaries is allowed.
+    The sample set contains every knot in range plus samples evenly spaced
+    points.  Violations are relative; touching the boundaries is allowed.
     """
     if not 1.0 <= t_min < t_max:
         raise ValueError("need 1 <= t_min < t_max")

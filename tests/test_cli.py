@@ -261,6 +261,35 @@ def test_non_finite_constant_exits_one(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_huge_level_exits_one(capsys):
+    # the table radius is capped before e^k is formed, so the level fails
+    # by name instead of overflowing
+    assert main(["norms", "--m", "2", "--p", "2", "--k", "1e6", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--n", "2"],
+        ["violate", "--n-max", "2"],
+    ],
+    ids=["norms", "violate"],
+)
+def test_infinite_ratio_is_json_null(capsys, argv):
+    # C1 = C2 = 0 makes rhs 0 and lhs / rhs infinite
+    flags = ["--m", "2", "--p", "2", "--k", "2", "--C1", "0", "--C2", "0"]
+    assert main(argv[:1] + flags + argv[1:]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["ratio"] is None
+    assert doc["lhs"] > 0.0 and doc["rhs"] == 0.0
+
+
 def test_quadrature_blowup_exits_four(capsys):
     rc = main(
         [

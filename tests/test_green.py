@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -83,6 +84,14 @@ def test_linear_profile_closed_forms():
     )
     gf3 = GreenFunction(prof3, r_max=50.0)
     assert abs(gf3.value(2.0) - 1.0 / 3.0) <= 1e-14
+    # sigma = 2, a zero slope: G(r) = (r - 1) 2^(1-m), and G^-1 undoes it
+    for m in (2, 3):
+        flat = WarpingProfile(
+            ManifoldConfig.from_dimension(m), [LINEAR], [0.0], [(0.0, 2.0, 0.0)]
+        )
+        gf = GreenFunction(flat, r_max=50.0)
+        assert abs(gf.value(9.0) - 8.0 * 2.0 ** (1 - m)) <= 1e-14
+        assert abs(gf.inverse(8.0 * 2.0 ** (1 - m)) - 9.0) <= 1e-13
 
 
 def test_inverse_roundtrip_base():
@@ -243,3 +252,81 @@ def test_derivative_consistency():
     fd = (gf.value_many(rs + h) - gf.value_many(rs - h)) / (2.0 * h)
     truth = base.eval_many(rs)[0] ** (1.0 - 3)
     assert np.max(np.abs(fd - truth) / np.abs(truth)) <= 1e-8
+
+
+# sha256 of eval_many's (sigma, sigma', sigma''), value_many and
+# inverse_many on kernel_grid, k = 3; any change to the kernel's arithmetic
+# moves them
+KERNEL_DIGESTS = {
+    (2, 1): "9eeb0ed0d4b19f4cf6e55b78f956762fad2cd4ef518c3b3228db7e461835ab90",
+    (2, 64): "856110a1d49a9dcd5edf9cfff98b607f30523b24a38eaa04e66a0bf9ae205855",
+    (2, 2**15): "63fc848d86b4b14bb58c3f274694a2d8eb55aa51cd588865ac042cc67aa414df",
+    (3, 1): "c7491417ba4d5aa65bfc635ecb2be42d9b66fee3d0e85d28c2ab9b723bbb5165",
+    (3, 64): "7d51b93cbc51912185f69b6de0fc8a9007fe3dc9198254d52018aab2426ed7ad",
+    (3, 2**15): "261cc4ffccb06f33a8bbeda0c22d44377b91e4c7538e4dcfca251adcfc59f43f",
+    (4, 1): "f4238022c620c247d0a5cccab323e9b6b72ac6f91ad6f17008988d66dc1ae053",
+    (4, 64): "377f288e72d3167eec9182afa9881d2db7f48207aa63590c26e150829b0440d6",
+    (4, 2**15): "db1ff81d7cc728d2fbbf856944983dc26f2fcb33ddcebb1c4d7281d2a22e9f9e",
+}
+
+
+def kernel_digest(green: GreenFunction, seed: int) -> str:
+    """Digest of sigma, G and G^-1 at random radii, at every knot and one float below it."""
+    prof = green.profile
+    (window,) = prof.windows
+    rng = np.random.default_rng(seed)
+    knots = prof.knots
+    r = np.concatenate(
+        [
+            rng.uniform(1.0, green.r_max, 2048),
+            rng.uniform(window.z - 0.1 * window.width, window.z + 1.1 * window.width, 4096),
+            knots,
+            np.nextafter(knots, -np.inf),
+            [1.0, green.r_max],
+        ]
+    )
+    g = green.value_many(r)
+    s = np.concatenate([g, rng.uniform(0.0, green.s_max, 2048), [0.0, green.s_max]])
+    digest = hashlib.sha256()
+    for arr in (*prof.eval_many(r), g, green.inverse_many(s)):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("m,n", sorted(KERNEL_DIGESTS), ids=str)
+def test_kernel_digest(m: int, n: int):
+    green = sawtooth_green(m, 3.0, n)
+    assert kernel_digest(green, m * 100003 + n) == KERNEL_DIGESTS[(m, n)]
+
+
+def test_table_rows_are_the_profile_rows():
+    # sigma is evaluated on the rows of the Green table's lookup; they must
+    # be the rows piece_index names, also at r_max when it is a knot, just
+    # below r = 1, and where G^-1 lands on either end of an interval
+    prof = sawtooth_green(2, 2.0, 8).profile
+    r_max = float(prof.knots[-3])
+    green = GreenFunction(prof, r_max=r_max)
+    assert prof.piece_index(np.asarray([r_max]))[0] != green._rows[-1]
+    cps = green._r_tab
+    r = np.concatenate([cps, np.nextafter(cps[1:], -np.inf), [np.nextafter(1.0, 0.0)]])
+    g, rows = green._value_rows(r)
+    np.testing.assert_array_equal(g, green.value_many(r))
+    np.testing.assert_array_equal(rows, prof.piece_index(r))
+
+    gs = green._g_tab
+    s = np.concatenate([gs, np.nextafter(gs, -np.inf), np.nextafter(gs, np.inf)])
+    r, rows = green._inverse_rows(s)
+    np.testing.assert_array_equal(r, green.inverse_many(s))
+    np.testing.assert_array_equal(rows, prof.piece_index(r))
+    # some levels land on an interval's right end, which is a knot
+    idx = np.clip(np.searchsorted(gs, s, side="right") - 1, 0, gs.size - 2)
+    assert np.any((r == cps[idx + 1]) & np.isin(r, prof.knots))
+
+
+def test_empty_inputs_keep_their_shape():
+    green = sawtooth_green(2, 2.0, 8)
+    for shape in [(0,), (0, 2)]:
+        empty = np.empty(shape)
+        assert green.value_many(empty).shape == shape
+        assert green.inverse_many(empty).shape == shape
+        assert all(v.shape == shape for v in green.profile.eval_many(empty))

@@ -215,15 +215,17 @@ def test_i_u_sandwich_closed_form():
 def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
     # the field kernel hands sigma to the volume weight, so the profile sees
     # each quadrature node exactly once; norms_report forms all three fields
-    # from that one evaluation
+    # from that one evaluation.  sigma is counted at _eval_rows, the entry
+    # every sigma evaluation goes through: the integrand takes its rows from
+    # the Green table's lookup and never calls eval_many
     tf = sawtooth_tf(2, 2.0, 8)
     counts = {"sigma": 0, "integrand": 0}
-    eval_many = WarpingProfile.eval_many
+    eval_rows = WarpingProfile._eval_rows
     integrate = norms_module.integrate
 
-    def counting_eval_many(self, t):
+    def counting_eval_rows(self, rows, t):
         counts["sigma"] += np.size(t)
-        return eval_many(self, t)
+        return eval_rows(self, rows, t)
 
     def counting_integrate(f, *args, **kwargs):
         def counted(x):
@@ -232,7 +234,7 @@ def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
 
         return integrate(counted, *args, **kwargs)
 
-    monkeypatch.setattr(WarpingProfile, "eval_many", counting_eval_many)
+    monkeypatch.setattr(WarpingProfile, "_eval_rows", counting_eval_rows)
     monkeypatch.setattr(norms_module, "integrate", counting_integrate)
     if field == "norms_report":
         for single in ("u", "laplacian", "hessian"):

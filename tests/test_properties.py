@@ -23,7 +23,7 @@ def check_construction(m: int, k: float, n: int) -> None:
     _, window, green, r_max = build_construction(ExperimentConfig(m=m, p=2.0, k=k, n_teeth=n))
     profile = green.profile
 
-    strip = audit_strip(profile, 1.0, r_max)
+    strip = audit_strip(profile, 1.0, r_max, samples=2048)
     assert strip.overall_pass, strip.failures()
 
     gaps = profile.knot_mismatches()

@@ -202,7 +202,7 @@ def test_strip_audit_flags_violation():
             (0.5, 0.0, 0.0),
         ],
     )
-    audit = audit_strip(prof, 1.0, 4.0)
+    audit = audit_strip(prof, 1.0, 4.0, samples=2048)
     assert not audit.overall_pass
     worst = audit.failures()[0]
     assert worst.name == "strip_upper"
@@ -244,7 +244,7 @@ def test_footprint_validation():
         insert_sawtooth(prof, plan_window(cfg, 4.2, 1))
     two = insert_sawtooth(prof, plan_window(cfg, 6.0, 2))
     assert len(two.windows) == 2
-    assert audit_strip(two, 1.0, 9.0).overall_pass
+    assert audit_strip(two, 1.0, 9.0, samples=2048).overall_pass
 
 
 def test_plan_window_validation():
