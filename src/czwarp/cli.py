@@ -184,6 +184,8 @@ def _print_audit(audit: BoundAudit) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples!r}")
     cfg = _experiment_config(args, _load_config(args.config))
     _, window, green, _ = build_construction(cfg)
     profile = green.profile
@@ -312,7 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(build)
     build.add_argument("--emit-profile", help="write profile JSON here instead of stdout")
     build.add_argument("--samples-csv", help="write t,sigma,dsigma,d2sigma samples here")
-    build.add_argument("--samples", type=int, default=2048, help="sample count (default 2048)")
+    build.add_argument(
+        "--samples", type=int, default=2048, help="sample count, at least 2 (default 2048)"
+    )
     build.add_argument("--t-max", type=float, help="sample grid end (default: window end + 1)")
     build.set_defaults(func=_cmd_build)
 

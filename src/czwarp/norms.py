@@ -7,12 +7,13 @@ harmonic there while the sawtooth drives the Hessian through the tangential
 component sigma' u' / sigma.
 
 Norms use the rotationally invariant weight: ||f||_p^p is gamma_m times the
-integral of |f|^p sigma^(m-1) dr over the support bracket.  The same
-quantities in the Green coordinate s (the I-integrals below) admit the
-k-explicit bounds that the audit chain verifies.  norms_report integrates u,
-Delta u and the Hessian as three columns of one quadrature pass, and the
-audit chain does the same for I_u and I_lap, so phi, sigma and sigma' are
-evaluated once per node for all of them.
+integral of |f|^p sigma^(m-1) dr over the support bracket.  Each route has
+one fixed kernel that computes everything it needs per node in one
+evaluation.  In r, TestFunction._fields gives u, the collapsed Laplacian,
+both Hessian eigenvalues and sigma, and norms_report integrates the three
+norms as three columns of one quadrature pass.  In the Green coordinate s,
+s_integrals gives I_u and I_lap together; they admit the k-explicit bounds
+that audit_norm_chain verifies, and they check the r route independently.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +31,10 @@ from .warping import _smoothstep
 __all__ = [
     "CutoffFunction",
     "TestFunction",
-    "hessian_components",
     "volume_integral",
-    "lp_norm_pow",
     "NormsReport",
     "norms_report",
-    "s_integral_u",
-    "s_integral_laplacian",
+    "s_integrals",
     "audit_norm_chain",
 ]
 
@@ -99,13 +96,6 @@ class CutoffFunction:
         return phi, dphi, d2phi
 
 
-def hessian_components(
-    du: np.ndarray, d2u: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hessian eigenvalues of a radial function: (u'', sigma' u' / sigma)."""
-    return d2u, dsigma * du / sigma
-
-
 class TestFunction:
     """u(r) = phi(G(r) - k), supported where G(r) - k lies in (delta/2, 1 - delta/2)."""
 
@@ -130,80 +120,26 @@ class TestFunction:
             green.inverse(self.k + 1.0 - 0.5 * d),
         )
 
-    def s_many(self, r: np.ndarray) -> np.ndarray:
-        return self.green.value_many(r) - self.k
+    def _fields(self, r: np.ndarray):
+        """(u, Delta u, u'', sigma' u' / sigma, sigma) at r, from one lookup per node.
 
-    def _sweep(self, r: np.ndarray):
-        """phi, phi', phi'' at s = G(r) - k and sigma, sigma', once per node.
-
-        sigma is evaluated on the profile rows of the Green table's lookup,
-        so each node is looked up once.
+        Delta u is the collapsed form phi''(G - k) sigma^(2 - 2m); u'' and
+        sigma' u' / sigma are the Hessian's radial and tangential
+        eigenvalues, by the chain rule through G' = sigma^(1-m).  sigma is
+        evaluated on the profile rows of the Green table's lookup and comes
+        back as the volume weight's base.
         """
         r = np.asarray(r, dtype=float)
         flat = np.ravel(r)
         g, rows = self.green._value_rows(flat)
         sigma, dsigma, _ = self.green.profile._eval_rows(rows, flat)
+        sigma, dsigma = sigma.reshape(r.shape), dsigma.reshape(r.shape)
         phi, dphi, d2phi = self.cutoff.eval_many((g - self.k).reshape(r.shape))
-        return phi, dphi, d2phi, sigma.reshape(r.shape), dsigma.reshape(r.shape)
-
-    def _chain(
-        self, dphi: np.ndarray, d2phi: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(u', u'') by the chain rule through G' = sigma^(1-m)."""
         m = self.green.profile.config.m
         gp = sigma ** (1 - m)
-        return dphi * gp, d2phi * gp**2 + dphi * (1 - m) * sigma ** (-m) * dsigma
-
-    def fields_many(
-        self, r: np.ndarray, fields: Sequence[str]
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """(values of each named field, sigma) from one sweep over r.
-
-        Fields are u, laplacian and hessian: the Laplacian is the collapsed
-        green_identity form and the Hessian its frame norm.  sigma comes
-        back as the volume weight's base.
-        """
-        phi, dphi, d2phi, sigma, dsigma = self._sweep(r)
-        m = self.green.profile.config.m
-        values = []
-        for field in fields:
-            if field == "u":
-                values.append(phi)
-            elif field == "laplacian":
-                values.append(d2phi * sigma ** (2 - 2 * m))
-            elif field == "hessian":
-                du, d2u = self._chain(dphi, d2phi, sigma, dsigma)
-                radial, tangential = hessian_components(du, d2u, sigma, dsigma)
-                values.append(np.sqrt(radial**2 + (m - 1) * tangential**2))
-            else:
-                raise ValueError(f"unknown field {field!r}")
-        return tuple(values), sigma
-
-    def derivatives_many(
-        self, r: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, u', u'') from the chain rule through G."""
-        phi, dphi, d2phi, sigma, dsigma = self._sweep(r)
-        return (phi, *self._chain(dphi, d2phi, sigma, dsigma))
-
-    def hessian_many(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, dphi, d2phi, sigma, dsigma = self._sweep(r)
-        du, d2u = self._chain(dphi, d2phi, sigma, dsigma)
-        return hessian_components(du, d2u, sigma, dsigma)
-
-    def laplacian_many(self, r: np.ndarray, route: str = "direct") -> np.ndarray:
-        """Radial Laplacian along two independent routes.
-
-        direct         u'' + (m-1) sigma' u' / sigma, with all cancellation
-                       left to floating point
-        green_identity phi''(G - k) * sigma^(2 - 2m), the collapsed form
-        """
-        if route == "direct":
-            radial, tangential = self.hessian_many(r)
-            return radial + (self.green.profile.config.m - 1) * tangential
-        if route == "green_identity":
-            return self.fields_many(r, ("laplacian",))[0][0]
-        raise ValueError(f"unknown Laplacian route {route!r}")
+        du = dphi * gp
+        d2u = d2phi * gp**2 + dphi * (1 - m) * sigma ** (-m) * dsigma
+        return phi, d2phi * sigma ** (2 - 2 * m), d2u, dsigma * du / sigma, sigma
 
 
 def _weighted_integrals(
@@ -237,7 +173,7 @@ def volume_integral(
     f_many,
     a: float,
     b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
+    spec: QuadratureSpec,
 ) -> tuple[float, float]:
     """gamma_m * integral of f(r) sigma^(m-1) dr with knot-aware panels."""
     return _weighted_integrals(
@@ -269,31 +205,6 @@ def _norm_breakpoints(tf: TestFunction) -> np.ndarray:
     return np.concatenate([transitions, knots])
 
 
-def _lp_norms_pow(
-    tf: TestFunction, fields: Sequence[str], p: float, spec: QuadratureSpec
-) -> list[tuple[float, float]]:
-    """(||field||_p^p, error bound) of each named field, in one pass over r."""
-    p = _validate_p(p)
-
-    def fields_sigma(r: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        values, sigma = tf.fields_many(r, fields)
-        return tuple(np.abs(f) ** p for f in values), sigma
-
-    return _weighted_integrals(
-        tf.green.profile, fields_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
-    )
-
-
-def lp_norm_pow(
-    tf: TestFunction,
-    field: str,
-    p: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> tuple[float, float]:
-    """(||field||_p^p, error bound) over the support bracket [Ginv(k), Ginv(k+1)]."""
-    return _lp_norms_pow(tf, (field,), p, spec)[0]
-
-
 @dataclass(frozen=True)
 class NormsReport:
     p: float
@@ -310,15 +221,24 @@ class NormsReport:
         return max(self.err_u, self.err_lap, self.err_hess)
 
 
-def norms_report(
-    tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
-) -> NormsReport:
-    """The three norms of the inequality, integrated together in one pass."""
-    (u_pow, u_err), (lap_pow, lap_err), (hess_pow, hess_err) = _lp_norms_pow(
-        tf, ("u", "laplacian", "hessian"), p, spec
+def norms_report(tf: TestFunction, p: float, spec: QuadratureSpec) -> NormsReport:
+    """The three norms of the inequality over [Ginv(k), Ginv(k+1)], in one pass.
+
+    The Hessian enters as its frame norm sqrt(u''^2 + (m-1) (sigma' u' / sigma)^2).
+    """
+    p = _validate_p(p)
+    m = tf.green.profile.config.m
+
+    def powers_sigma(r: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        u, lap, radial, tangential, sigma = tf._fields(r)
+        hess = np.sqrt(radial**2 + (m - 1) * tangential**2)
+        return (np.abs(u) ** p, np.abs(lap) ** p, np.abs(hess) ** p), sigma
+
+    (u_pow, u_err), (lap_pow, lap_err), (hess_pow, hess_err) = _weighted_integrals(
+        tf.green.profile, powers_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
     )
     return NormsReport(
-        p=float(p),
+        p=p,
         k=tf.k,
         norm_u_p_pow=u_pow,
         norm_lap_p_pow=lap_pow,
@@ -341,24 +261,25 @@ def _s_panels(tf: TestFunction) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(pts), slivers[slivers[:, 0] < slivers[:, 1]]
 
 
-def _s_integrals(
-    tf: TestFunction, fields: Sequence[str], p: float, spec: QuadratureSpec
+def s_integrals(
+    tf: TestFunction, p: float, spec: QuadratureSpec
 ) -> list[tuple[float, float]]:
-    """I_u and/or I_lap, as named by fields, in one pass over s in [0, 1].
+    """[(I_u, error), (I_lap, error)] in one pass over s in [0, 1].
 
-    Each is the integral of |phi^(j)|^p sigma(Ginv(k+s))^e, with (j, e) =
-    (0, 2(m-1)) for u and (2, (2-2p)(m-1)) for the Laplacian.
+    I_u is the integral of |phi|^p sigma(Ginv(k+s))^(2(m-1)) and I_lap that
+    of |phi''|^p sigma(Ginv(k+s))^((2-2p)(m-1)): the u and Laplacian masses
+    in the Green coordinate, without gamma_m.
     """
     p = _validate_p(p)
     m = tf.green.profile.config.m
-    terms = {"u": (0, 2 * (m - 1)), "laplacian": (2, (2.0 - 2.0 * p) * (m - 1))}
-    picked = [terms[f] for f in fields]
+    e_u = 2 * (m - 1)
+    e_lap = (2.0 - 2.0 * p) * (m - 1)
 
-    def integrand(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r, rows = tf.green._inverse_rows(tf.k + s)
         sigma = tf.green.profile._eval_rows(rows, r)[0]
-        phi = tf.cutoff.eval_many(s)
-        return tuple(np.abs(phi[j]) ** p * sigma**e for j, e in picked)
+        phi, _, d2phi = tf.cutoff.eval_many(s)
+        return np.abs(phi) ** p * sigma**e_u, np.abs(d2phi) ** p * sigma**e_lap
 
     brk, slivers = _s_panels(tf)
     result = integrate(
@@ -367,23 +288,7 @@ def _s_integrals(
     return list(result.columns)
 
 
-def s_integral_u(
-    tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
-) -> tuple[float, float]:
-    """I_u = integral over s in [0,1] of |phi|^p sigma(Ginv(k+s))^(2(m-1))."""
-    return _s_integrals(tf, ("u",), p, spec)[0]
-
-
-def s_integral_laplacian(
-    tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
-) -> tuple[float, float]:
-    """I_lap = integral over s of |phi''|^p sigma(Ginv(k+s))^((2-2p)(m-1))."""
-    return _s_integrals(tf, ("laplacian",), p, spec)[0]
-
-
-def audit_norm_chain(
-    tf: TestFunction, p: float, spec: QuadratureSpec = QuadratureSpec()
-) -> BoundAudit:
+def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundAudit:
     """k-explicit bound chain: u mass above, Laplacian mass above, tooth mass below.
 
     upper bounds (in the Green coordinate, without gamma_m):
@@ -399,7 +304,7 @@ def audit_norm_chain(
     m = tf.green.profile.config.m
     audit = BoundAudit()
 
-    (iu, iu_err), (il, il_err) = _s_integrals(tf, ("u", "laplacian"), p, spec)
+    (iu, iu_err), (il, il_err) = s_integrals(tf, p, spec)
     bound_u = 2.0 * math.exp(2.0 * k + 2.0) if m == 2 else 4.0 * math.exp(2.0 * (k + 1.0))
     audit.add("u_mass_upper", (iu + iu_err - bound_u) / bound_u, k, 0.0)
 

@@ -21,13 +21,13 @@ from czwarp.green import GreenFunction, audit_green_bounds
 from czwarp.norms import (
     CutoffFunction,
     TestFunction,
-    lp_norm_pow,
-    s_integral_laplacian,
-    s_integral_u,
+    norms_report,
+    s_integrals,
     volume_integral,
 )
 from czwarp.quadrature import QuadratureSpec, integrate
 from czwarp.warping import POWER, ManifoldConfig, WarpingProfile, audit_strip
+from laplacian_routes import worst_route_discrepancy
 
 SPEC = QuadratureSpec(base_order=8, rel_tol=1e-8)
 
@@ -68,18 +68,7 @@ def test_criterion_1_two_route_laplacian(sampled):
     for m, p, k, n in configs:
         tf, _, _ = built[(m, k, n)]
         rs = rng.uniform(tf.r_lo, tf.r_hi, 1000)
-        direct = tf.laplacian_many(rs, route="direct")
-        collapsed = tf.laplacian_many(rs, route="green_identity")
-        radial, tangential = tf.hessian_many(rs)
-        scale = np.maximum.reduce(
-            [
-                np.abs(direct),
-                np.abs(collapsed),
-                np.abs(radial) + (m - 1) * np.abs(tangential),
-                np.ones_like(direct),
-            ]
-        )
-        worst = max(worst, float(np.max(np.abs(direct - collapsed) / scale)))
+        worst = max(worst, worst_route_discrepancy(tf, rs))
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-9 and elapsed < 60.0
     _verdict(1, passed, f"worst relative discrepancy {worst:.3e} over 20 configs x 1000 points, {elapsed:.1f}s")
@@ -107,8 +96,7 @@ def test_criterion_3_upper_mass_bounds(sampled):
     worst = 0.0
     for m, p, k, n in configs:
         tf, _, _ = built[(m, k, n)]
-        iu, iu_err = s_integral_u(tf, p, SPEC)
-        il, il_err = s_integral_laplacian(tf, p, SPEC)
+        (iu, iu_err), (il, il_err) = s_integrals(tf, p, SPEC)
         bound_u = 4.0 * math.exp(2.0 * (k + 1.0))
         bound_l = tf.cutoff.sup_d2**p * math.exp(-2.0 * (p - 1.0) * k)
         worst = max(worst, (iu + iu_err) / bound_u, (il + il_err) / bound_l)
@@ -167,9 +155,9 @@ def test_criterion_5_scaling_law():
     total_slopes = {}
     min_margin = {}
     for p in (1.5, 2.0, 4.0):
-        masses = [lp_norm_pow(tfs[n], "hessian", p, SPEC) for n in ns]
-        values = np.asarray([v for v, _ in masses])
-        errs = np.asarray([e for _, e in masses])
+        reports = [norms_report(tfs[n], p, SPEC) for n in ns]
+        values = np.asarray([r.norm_hess_p_pow for r in reports])
+        errs = np.asarray([r.err_hess for r in reports])
         increments = values[1:] - values[:-1]
         margins = increments - (errs[1:] + errs[:-1])
         min_margin[p] = float(margins.min())

@@ -39,6 +39,17 @@ def test_build_writes_profile_and_samples(tmp_path):
     assert last[0] == pytest.approx(window["z"] + window["width"] + 1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+def test_build_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
+    csv_path = tmp_path / "sigma.csv"
+    rc = main(["build", "--samples-csv", str(csv_path), "--samples", samples])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 2, got {int(samples)!r}\n"
+    assert not csv_path.exists()
+
+
 def test_build_prints_profile_to_stdout(capsys):
     assert main(["build", "--m", "3", "--k", "2", "--n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -15,11 +15,8 @@ from czwarp.norms import (
     CutoffFunction,
     TestFunction,
     audit_norm_chain,
-    hessian_components,
-    lp_norm_pow,
     norms_report,
-    s_integral_laplacian,
-    s_integral_u,
+    s_integrals,
     volume_integral,
 )
 from czwarp.quadrature import QuadratureSpec, integrate
@@ -32,6 +29,7 @@ from czwarp.warping import (
     insert_sawtooth,
     plan_window,
 )
+from laplacian_routes import worst_route_discrepancy
 
 SPEC = QuadratureSpec(base_order=8, rel_tol=1e-8)
 
@@ -116,21 +114,25 @@ def test_sup_d2_scanned_on_first_use(monkeypatch):
 
 def test_u_derivative_fixture_pure_power():
     # sigma = t, m = 2, k = 1: on the plateau u = log r - 1, so at r = e^1.5
-    # u = 1/2, u' = 1/r = e^-1.5, u'' = -1/r^2 = -e^-3
+    # u = 1/2, the radial eigenvalue u'' = -1/r^2 = -e^-3, the tangential
+    # one sigma' u' / sigma = 1/r^2 = e^-3, and phi'' = 0 there
     tf = pure_power_tf()
     r = np.asarray([math.e**1.5])
-    u, du, d2u = tf.derivatives_many(r)
+    u, lap, radial, tangential, sigma = tf._fields(r)
     assert abs(u[0] - 0.5) <= 1e-14
-    assert abs(du[0] - math.e**-1.5) <= 1e-14
-    assert abs(d2u[0] + math.e**-3) <= 1e-14
+    assert abs(radial[0] + math.e**-3) <= 1e-14
+    assert abs(tangential[0] - math.e**-3) <= 1e-14
+    assert lap[0] == 0.0
+    assert abs(sigma[0] - r[0]) <= 1e-14 * r[0]
 
 
 def test_u_vanishes_outside_support():
     tf = sawtooth_tf(2, 2.0, 4)
     lo, hi = tf.support_r
     rs = np.asarray([tf.r_lo * 1.0001, lo * 0.9999, hi * 1.0001, tf.r_hi * 0.9999])
-    u, du, d2u = tf.derivatives_many(rs)
-    assert np.all(u == 0.0) and np.all(du == 0.0) and np.all(d2u == 0.0)
+    u, lap, radial, tangential, _ = tf._fields(rs)
+    for values in (u, lap, radial, tangential):
+        assert np.all(values == 0.0)
 
 
 def test_testfunction_validation():
@@ -141,13 +143,6 @@ def test_testfunction_validation():
     # s_max = log 12 < 3, so k = 2 does not fit
     with pytest.raises(ValueError):
         TestFunction(2.0, tf.cutoff, tf.green)
-
-
-def test_hessian_components_arithmetic():
-    rad, tan = hessian_components(
-        np.asarray([4.0]), np.asarray([2.0]), np.asarray([2.0]), np.asarray([1.0])
-    )
-    assert rad[0] == 2.0 and tan[0] == 2.0
 
 
 def test_volume_integral_closed_forms():
@@ -168,33 +163,16 @@ def test_two_route_laplacian_agreement(m: int, k: float, n: int):
     tf = sawtooth_tf(m, k, n)
     rng = np.random.default_rng(3)
     rs = rng.uniform(tf.r_lo, tf.r_hi, 1000)
-    direct = tf.laplacian_many(rs, route="direct")
-    collapsed = tf.laplacian_many(rs, route="green_identity")
-    radial, tangential = tf.hessian_many(rs)
-    scale = np.maximum.reduce(
-        [
-            np.abs(direct),
-            np.abs(collapsed),
-            np.abs(radial) + (m - 1) * np.abs(tangential),
-            np.ones_like(direct),
-        ]
-    )
-    assert np.max(np.abs(direct - collapsed) / scale) <= 1e-12
-
-
-def test_laplacian_route_validation():
-    tf = pure_power_tf()
-    with pytest.raises(ValueError):
-        tf.laplacian_many(np.asarray([3.0]), route="spectral")
+    assert worst_route_discrepancy(tf, rs) <= 1e-12
 
 
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])
 def test_s_route_matches_r_route(m: int, p: float):
     tf = sawtooth_tf(m, 2.0, 8)
     gamma = tf.green.profile.config.gamma_m
-    for field, s_fun in (("u", s_integral_u), ("laplacian", s_integral_laplacian)):
-        r_val = lp_norm_pow(tf, field, p, SPEC)[0]
-        s_val = s_fun(tf, p, SPEC)[0]
+    rep = norms_report(tf, p, SPEC)
+    (iu, _), (il, _) = s_integrals(tf, p, SPEC)
+    for r_val, s_val in ((rep.norm_u_p_pow, iu), (rep.norm_lap_p_pow, il)):
         assert abs(gamma * s_val - r_val) <= 1e-8 * r_val
 
 
@@ -207,17 +185,18 @@ def test_i_u_sandwich_closed_form():
     F = lambda s: math.exp(2.0 * s) * (2.0 * s * s - 2.0 * s + 1.0) / 4.0
     lower = math.e**2 * (F(1.0 - d) - F(d))
     upper = math.e**2 * (F(1.0) - F(0.0))
-    iu, err = s_integral_u(tf, 2.0, SPEC)
+    iu, err = s_integrals(tf, 2.0, SPEC)[0]
     assert lower - err <= iu <= upper + err
 
 
-@pytest.mark.parametrize("field", ["u", "laplacian", "hessian", "norms_report"])
-def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
-    # the field kernel hands sigma to the volume weight, so the profile sees
-    # each quadrature node exactly once; norms_report forms all three fields
-    # from that one evaluation.  sigma is counted at _eval_rows, the entry
-    # every sigma evaluation goes through: the integrand takes its rows from
-    # the Green table's lookup and never calls eval_many
+@pytest.mark.parametrize("route", ["norms_report", "s_integrals"])
+def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
+    # each route's kernel evaluates sigma once per quadrature node and forms
+    # every column from it: norms_report hands it to the volume weight of
+    # all three norms, s_integrals raises it to the exponents of I_u and
+    # I_lap.  sigma is counted at _eval_rows, the entry every sigma
+    # evaluation goes through: both integrands take their rows from the
+    # Green table's lookup and never call eval_many
     tf = sawtooth_tf(2, 2.0, 8)
     counts = {"sigma": 0, "integrand": 0}
     eval_rows = WarpingProfile._eval_rows
@@ -236,16 +215,7 @@ def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
 
     monkeypatch.setattr(WarpingProfile, "_eval_rows", counting_eval_rows)
     monkeypatch.setattr(norms_module, "integrate", counting_integrate)
-    if field == "norms_report":
-        for single in ("u", "laplacian", "hessian"):
-            lp_norm_pow(tf, single, 2.0, SPEC)
-        separate = counts["integrand"]
-        counts.update(sigma=0, integrand=0)
-        norms_report(tf, 2.0, SPEC)
-        # the depth-0 pass is shared instead of run once per field
-        assert counts["integrand"] < separate
-    else:
-        lp_norm_pow(tf, field, 2.0, SPEC)
+    getattr(norms_module, route)(tf, 2.0, SPEC)
     assert counts["integrand"] > 0
     assert counts["sigma"] == counts["integrand"]
 
@@ -254,8 +224,8 @@ def test_sigma_evaluated_once_per_node(monkeypatch, field: str):
 def test_trace_inequality(m: int, p: float):
     # |Delta u| <= sqrt(m) * frame norm pointwise, so the norms inherit it
     tf = sawtooth_tf(m, 2.0, 8)
-    lap = lp_norm_pow(tf, "laplacian", p, SPEC)[0]
-    hess = lp_norm_pow(tf, "hessian", p, SPEC)[0]
+    rep = norms_report(tf, p, SPEC)
+    lap, hess = rep.norm_lap_p_pow, rep.norm_hess_p_pow
     assert lap <= m ** (p / 2.0) * hess * (1.0 + 1e-9)
 
 
@@ -284,14 +254,16 @@ def test_plateau_hessian_mass_matches_high_precision_reference(m: int, n: int):
     prof = tf.green.profile
     d = tf.cutoff.delta
     linear = np.flatnonzero(prof.piece_kinds == LINEAR)
-    s0, s1 = tf.s_many(np.stack([prof.piece_t0[linear], prof.piece_t1[linear]]))
+    ends = np.stack([prof.piece_t0[linear], prof.piece_t1[linear]])
+    s0, s1 = tf.green.value_many(ends) - tf.k
     plateau = linear[(s0 >= d) & (s1 <= 1.0 - d)]
     assert plateau.size >= 2 * n
     spec = QuadratureSpec(rel_tol=1e-12)
     for p in (1.5, 2.0, 4.0):
 
         def mass(r: np.ndarray) -> np.ndarray:
-            (hess,), sigma = tf.fields_many(r, ("hessian",))
+            _, _, radial, tangential, sigma = tf._fields(r)
+            hess = np.sqrt(radial**2 + (m - 1) * tangential**2)
             return np.abs(hess) ** p * sigma ** (m - 1)
 
         for i in plateau:
@@ -318,17 +290,20 @@ def test_audit_norm_chain_passes(m: int, p: float):
 
 def test_lp_norm_validation():
     tf = pure_power_tf()
-    with pytest.raises(ValueError):
-        lp_norm_pow(tf, "u", 1.0, SPEC)
-    with pytest.raises(ValueError):
-        lp_norm_pow(tf, "gradient", 2.0, SPEC)
+    for route in (norms_report, s_integrals, audit_norm_chain):
+        for p in (1.0, math.inf):
+            with pytest.raises(ValueError):
+                route(tf, p, SPEC)
 
 
 def test_norms_report_fields():
     tf = sawtooth_tf(2, 2.0, 4)
     rep = norms_report(tf, 2.0, SPEC)
-    u, ue = lp_norm_pow(tf, "u", 2.0, SPEC)
-    assert rep.norm_u_p_pow == u and rep.err_u == ue
+    # the u column against the plain knot-aware volume integral of u^2
+    u, ue = volume_integral(
+        tf.green.profile, lambda r: tf._fields(r)[0] ** 2, tf.r_lo, tf.r_hi, SPEC
+    )
+    assert abs(rep.norm_u_p_pow - u) <= rep.err_u + ue + 1e-12 * u
     assert rep.quad_err == max(rep.err_u, rep.err_lap, rep.err_hess)
     assert rep.p == 2.0 and rep.k == 2.0
 
@@ -372,8 +347,9 @@ def test_golden_numbers(m: int, p: float, n: int):
     assert [repr(x) for x in got] == [repr(x) for x in norms]
     got = (rep.err_u, rep.err_lap, rep.err_hess)
     assert [repr(x) for x in got] == [repr(x) for x in errs]
-    assert repr(tuple(s_integral_u(tf, p, cfg.quad))) == repr(i_u)
-    assert repr(tuple(s_integral_laplacian(tf, p, cfg.quad))) == repr(i_lap)
+    got_u, got_lap = s_integrals(tf, p, cfg.quad)
+    assert repr(tuple(got_u)) == repr(i_u)
+    assert repr(tuple(got_lap)) == repr(i_lap)
     entries = {e.name: e.worst_violation for e in audit_norm_chain(tf, p, cfg.quad).entries}
     got = (entries["u_mass_upper"], entries["laplacian_mass_upper"])
     assert [repr(x) for x in got] == [repr(x) for x in chain]
