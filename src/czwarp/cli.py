@@ -39,30 +39,27 @@ from .warping import profile_to_json
 __all__ = ["main"]
 
 # scalar config keys, each read from the flag of the same name or the
-# config file: (ExperimentConfig field, type)
+# config file: (ExperimentConfig field, type, flag help)
 _SCALARS = {
-    "m": ("m", int),
-    "p": ("p", float),
-    "k": ("k", float),
-    "n": ("n_teeth", int),
-    "C1": ("C1", float),
-    "C2": ("C2", float),
-    "r_cap": ("r_cap", float),
-    "strip_samples": ("strip_samples", int),
-    "envelope_samples": ("envelope_samples", int),
+    "m": ("m", int, "dimension"),
+    "p": ("p", float, "Lebesgue exponent in (1, inf)"),
+    "k": ("k", float, "window level"),
+    "n": ("n_teeth", int, "tooth count"),
+    "C1": ("C1", float, "Laplacian-side constant"),
+    "C2": ("C2", float, "function-side constant"),
 }
 # values for the fields ExperimentConfig requires; every other value that
 # neither a flag nor the file gives is ExperimentConfig's own default
 _REQUIRED = {"m": 2, "p": 2.0, "k": 3.0, "n": 1}
-# quad keys: (QuadratureSpec field, flag, type)
+# quad keys: (QuadratureSpec field, flag, type, flag help)
 _QUAD = (
-    ("base_order", "quad_order", int),
-    ("rel_tol", "quad_rel_tol", float),
-    ("max_depth", "quad_max_depth", int),
+    ("base_order", "quad_order", int, "Gauss-Legendre panel order"),
+    ("rel_tol", "quad_rel_tol", float, "quadrature relative tolerance"),
+    ("max_depth", "quad_max_depth", int, "quadrature bisection depth limit"),
 )
 # JSON config keys accepted at the top level; anything else is a typo
 _CONFIG_KEYS = {*_SCALARS, "quad", "grid"}
-_QUAD_KEYS = {key for key, _, _ in _QUAD}
+_QUAD_KEYS = {key for key, *_ in _QUAD}
 _GRID_KEYS = {"m", "p", "k", "n"}
 
 
@@ -101,7 +98,7 @@ def _given(args: argparse.Namespace, flag: str, data: dict, key: str):
 def _quad_spec(args: argparse.Namespace, data: dict) -> QuadratureSpec:
     quad = data.get("quad", {})
     fields = {}
-    for key, flag, kind in _QUAD:
+    for key, flag, kind, _ in _QUAD:
         value = _given(args, flag, quad, key)
         if value is not None:
             fields[key] = _cast(kind, f"config key 'quad.{key}'", value)
@@ -110,7 +107,7 @@ def _quad_spec(args: argparse.Namespace, data: dict) -> QuadratureSpec:
 
 def _experiment_config(args: argparse.Namespace, data: dict) -> ExperimentConfig:
     fields = {}
-    for key, (name, kind) in _SCALARS.items():
+    for key, (name, kind, _) in _SCALARS.items():
         value = _given(args, key, data, key)
         if value is None:
             value = _REQUIRED.get(key)
@@ -186,14 +183,14 @@ def _print_audit(audit: BoundAudit) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples!r}")
+    if args.t_max is not None and not 0.0 < args.t_max < math.inf:
+        raise ValueError(f"--t-max must be finite and positive, got {args.t_max!r}")
     cfg = _experiment_config(args, _load_config(args.config))
     _, window, green, _ = build_construction(cfg)
     profile = green.profile
     _emit_json(profile_to_json(profile), args.emit_profile)
     if args.samples_csv is not None:
         t_max = args.t_max if args.t_max is not None else window.z + window.width + 1.0
-        if not t_max > 0.0:
-            raise ValueError("--t-max must be positive")
         t = np.linspace(0.0, t_max, args.samples)
         sigma, dsigma, d2sigma = profile.eval_many(t)
         with open(args.samples_csv, "w") as fh:
@@ -287,20 +284,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--m", type=int, help=f"dimension (default {_REQUIRED['m']})")
-    parser.add_argument(
-        "--p", type=float, help=f"Lebesgue exponent in (1, inf) (default {_REQUIRED['p']})"
-    )
-    parser.add_argument("--k", type=float, help=f"window level (default {_REQUIRED['k']})")
-    parser.add_argument("--n", type=int, help=f"tooth count (default {_REQUIRED['n']})")
-    parser.add_argument("--C1", type=float, help="Laplacian-side constant")
-    parser.add_argument("--C2", type=float, help="function-side constant")
-    parser.add_argument("--r-cap", type=float, help="hard cap on the tabulated radius")
-    parser.add_argument("--strip-samples", type=int, help="strip audit sample count")
-    parser.add_argument("--envelope-samples", type=int, help="envelope audit sample count")
-    parser.add_argument("--quad-order", type=int, help="Gauss-Legendre panel order")
-    parser.add_argument("--quad-rel-tol", type=float, help="quadrature relative tolerance")
-    parser.add_argument("--quad-max-depth", type=int, help="quadrature bisection depth limit")
+    for key, (_, kind, text) in _SCALARS.items():
+        if key in _REQUIRED:
+            text = f"{text} (default {_REQUIRED[key]})"
+        parser.add_argument(f"--{key}", type=kind, help=text)
+    for _, flag, kind, text in _QUAD:
+        parser.add_argument("--" + flag.replace("_", "-"), type=kind, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,7 +347,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # czwarp's own errors (CubeDoesNotFit, OutOfRange, ...) say by name
+        # which check failed, as in a sweep row's error column
+        kind = type(exc)
+        name = f"{kind.__name__}: " if kind.__module__.startswith("czwarp.") else ""
+        print(f"error: {name}{exc}", file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .green import DELTA_UNIVERSAL, GreenFunction, WindowTooNarrow, audit_green_bounds, find_h
 from .norms import CutoffFunction, NormsReport, TestFunction, _validate_p, norms_report
@@ -66,9 +67,10 @@ class ExperimentConfig:
     C1: float = 1.0
     C2: float = 1.0
     quad: QuadratureSpec = QuadratureSpec(base_order=8, rel_tol=1e-8)
-    r_cap: float = 2e5
-    strip_samples: int = 2048
-    envelope_samples: int = 512
+    # audit sample counts: constants, not fields; perfbench/workloads.py
+    # still reads them as cfg.strip_samples and cfg.envelope_samples
+    strip_samples: ClassVar[int] = 2048
+    envelope_samples: ClassVar[int] = 512
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 2:
@@ -76,14 +78,15 @@ class ExperimentConfig:
         _validate_p(self.p)
         if not self.k >= 1.0:
             raise ValueError("level k must be >= 1")
+        if not math.isfinite(_table_r_max(self.k)):
+            raise ValueError(
+                f"level k = {self.k!r} is too large: the Green table radius "
+                "2.2 e^(k + 1.05) overflows"
+            )
         if not isinstance(self.n_teeth, int) or self.n_teeth < 1:
             raise ValueError("n_teeth must be an integer >= 1")
         if not (0.0 <= self.C1 < math.inf and 0.0 <= self.C2 < math.inf):
             raise ValueError("C1 and C2 must be finite and nonnegative")
-        if not self.r_cap > 1.0:
-            raise ValueError("r_cap must exceed 1")
-        if self.strip_samples < 2 or self.envelope_samples < 2:
-            raise ValueError("audit sample counts must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,16 @@ class CZReport:
     audit: BoundAudit
 
 
-def _table_r_max(cfg: ExperimentConfig) -> float:
+def _table_r_max(k: float) -> float:
+    """Radius of the Green table that level k needs; inf where it overflows."""
     # Ginv(k+1) <= 2 e^(k+1) - 1 for in-strip profiles; the 2.2 e^(k+1.05)
     # headroom keeps s_max past k+1 with room for find_h's right-end check.
-    # Past log(r_cap / 2.2) the cap wins, and exp would overflow for k
-    # above about 708, so that comparison comes first
-    if cfg.k + 1.05 > math.log(cfg.r_cap / 2.2):
-        return cfg.r_cap
-    return min(cfg.r_cap, 2.2 * math.exp(cfg.k + 1.05))
+    # No cap is needed: plan_window raises CubeDoesNotFit from k of about 25
+    # (m = 2) or 13 (m = 4) on, and the radius overflows only near k = 708
+    try:
+        return 2.2 * math.exp(k + 1.05)
+    except OverflowError:
+        return math.inf
 
 
 def build_construction(
@@ -122,7 +127,7 @@ def build_construction(
     """
     manifold = ManifoldConfig.from_dimension(cfg.m)
     base = build_base_profile(manifold)
-    r_max = _table_r_max(cfg)
+    r_max = _table_r_max(cfg.k)
     h = find_h(GreenFunction(base, r_max=r_max), cfg.k)
     window = plan_window(manifold, h, cfg.n_teeth)
     profile = insert_sawtooth(base, window)

@@ -50,10 +50,6 @@ class WindowTooNarrow(ValueError):
     """The unit Green-coordinate window does not fit above the requested level."""
 
 
-# interval class of a LINEAR row with zero slope, next to the piece kinds
-_FLAT = 4
-
-
 def _blend_quad(
     profile: WarpingProfile, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
@@ -94,10 +90,11 @@ class GreenFunction:
     """Tabulated G and its inverse for one profile on [1, r_max].
 
     Checkpoint interval i, [_r_tab[i], _r_tab[i+1]], lies inside profile row
-    _rows[i].  _kinds[i] is that row's kind, or _FLAT for a zero-slope
-    LINEAR row, and _anchor[i] the constant G and G^-1 need there: lo + c
-    on POWER rows, sigma(lo) on LINEAR rows and the mean of sigma^(1-m)
-    over the interval on BLEND rows.
+    _rows[i].  _kinds[i] is that row's kind, except that a zero-slope
+    LINEAR row counts as BLEND: G is linear in r on both.  _anchor[i] is
+    the constant G and G^-1 need there: lo + c on POWER rows, sigma(lo) on
+    LINEAR rows, and the slope G' of the interval on BLEND-class rows (the
+    mean of sigma^(1-m) over a blend, sigma^(1-m) on a flat row).
     """
 
     def __init__(self, profile: WarpingProfile, r_max: float):
@@ -131,16 +128,18 @@ class GreenFunction:
         anchor = np.empty_like(lo)
         sel = np.flatnonzero(kinds == POWER)
         anchor[sel] = lo[sel] + params[rows[sel], 0]
-        sel = np.flatnonzero(kinds == LINEAR)
-        tr, yr, a = params[rows[sel]].T
-        anchor[sel] = yr + a * (lo[sel] - tr)
-        kinds[sel[a == 0.0]] = _FLAT
         # partial integrals across a blend interval interpolate the table
         # linearly; the integrand drifts by ~1e-9 across such a sliver, so
         # the mean slope is exact at both edges and 1e-20-accurate inside
         sel = np.flatnonzero(kinds == BLEND)
         blend_seg = _blend_quad(profile, rows[sel], lo[sel], hi[sel])
         anchor[sel] = blend_seg / (hi[sel] - lo[sel])
+        linear = np.flatnonzero(kinds == LINEAR)
+        tr, yr, a = params[rows[linear]].T
+        anchor[linear] = yr + a * (lo[linear] - tr)
+        flat = linear[a == 0.0]
+        anchor[flat] **= 1 - profile.config.m
+        kinds[flat] = BLEND
 
         self._r_tab = cps
         self._rows = rows
@@ -165,8 +164,6 @@ class GreenFunction:
         m = self.profile.config.m
         if kind == BLEND:
             return ((r - self._r_tab[idx]) * anchor,)
-        if kind == _FLAT:
-            return ((r - self._r_tab[idx]) * anchor ** (1 - m),)
         params = self.profile.piece_params
         rows = self._rows[idx]
         if kind == POWER:
@@ -185,8 +182,6 @@ class GreenFunction:
         r0 = self._r_tab[idx]
         if kind == BLEND:
             return (r0 + ds / anchor,)
-        if kind == _FLAT:
-            return (r0 + ds * anchor ** (m - 1),)
         params = self.profile.piece_params
         rows = self._rows[idx]
         if kind == POWER:

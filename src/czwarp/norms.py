@@ -114,11 +114,6 @@ class TestFunction:
         self.green = green
         self.r_lo = green.inverse(self.k)
         self.r_hi = green.inverse(self.k + 1.0)
-        d = cutoff.delta
-        self.support_r = (
-            green.inverse(self.k + 0.5 * d),
-            green.inverse(self.k + 1.0 - 0.5 * d),
-        )
 
     def _fields(self, r: np.ndarray):
         """(u, Delta u, u'', sigma' u' / sigma, sigma) at r, from one lookup per node.

@@ -357,10 +357,6 @@ class WarpingProfile:
         y, dy, d2y = self._eval_rows(self.piece_index(flat), flat)
         return y.reshape(t.shape), dy.reshape(t.shape), d2y.reshape(t.shape)
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        y, dy, d2y = self.eval_many(np.asarray([float(t)]))
-        return float(y[0]), float(dy[0]), float(d2y[0])
-
     def knot_mismatches(self) -> dict[str, np.ndarray]:
         """One-sided value/slope/curvature gaps at every interior knot.
 

@@ -50,6 +50,17 @@ def test_build_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("t_max", ["-1", "0", "nan", "inf"])
+def test_build_rejects_bad_t_max_before_building(tmp_path, capsys, t_max):
+    csv_path = tmp_path / "sigma.csv"
+    argv = ["build", "--samples-csv", str(csv_path), "--samples", "4", "--t-max", t_max]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --t-max must be finite and positive, got {float(t_max)!r}\n"
+    assert not csv_path.exists()
+
+
 def test_build_prints_profile_to_stdout(capsys):
     assert main(["build", "--m", "3", "--k", "2", "--n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -205,6 +216,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"workers": 2, "grid": _GRID}))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
     assert "unknown config keys: ['workers']" in capsys.readouterr().err
+    # the table radius follows from k and the audit sample counts are fixed
+    for key, value in (("r_cap", 2e5), ("strip_samples", 2048), ("envelope_samples", 512)):
+        config.write_text(json.dumps({key: value}))
+        assert main(["build", "--config", str(config)]) == 1
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -246,10 +262,14 @@ def test_defaults_come_from_the_library():
     assert cli._experiment_config(args, {}) == ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1)
 
 
-@pytest.mark.parametrize("flag", ["--smooth-halfwidth", "--quad-abs-tol"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--smooth-halfwidth", "--quad-abs-tol", "--r-cap", "--strip-samples", "--envelope-samples"],
+)
 def test_removed_flags_exit_two(flag):
+    # 2 is a valid value for every one of these flags while it existed
     with pytest.raises(SystemExit) as exc:
-        main(["norms", flag, "1.0"])
+        main(["norms", flag, "2"])
     assert exc.value.code == 2
 
 
@@ -273,11 +293,23 @@ def test_non_finite_constant_exits_one(capsys):
 
 
 def test_huge_level_exits_one(capsys):
-    # the table radius is capped before e^k is formed, so the level fails
-    # by name instead of overflowing
-    assert main(["norms", "--m", "2", "--p", "2", "--k", "1e6", "--n", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    # the table radius 2.2 e^(k + 1.05) overflows here, and the config
+    # rejects the level before anything is built
+    for k in ("1e6", "inf"):
+        assert main(["norms", "--m", "2", "--p", "2", "--k", k, "--n", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: level k") and "Traceback" not in err
+
+
+def test_high_level_runs_until_the_cube_does_not_fit(capsys):
+    # the table radius follows k with no cap, so k = 12 builds and passes
+    # every audit; at k = 40 the corner blends no longer fit between teeth
+    assert main(["norms", "--m", "2", "--p", "2", "--k", "12", "--n", "8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["audit_pass"] is True
+    assert all(entry["passed"] for entry in doc["audit"])
+    assert main(["norms", "--m", "2", "--p", "2", "--k", "40", "--n", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: CubeDoesNotFit: ")
 
 
 def _reject_constant(name: str):

@@ -6,7 +6,7 @@ import csv
 import functools
 import math
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -50,10 +50,20 @@ def test_config_validation():
         ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, C1=math.nan)
     with pytest.raises(ValueError):
         ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, C2=math.inf)
-    with pytest.raises(ValueError):
-        ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, r_cap=1.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, strip_samples=1)
+    # the Green table radius 2.2 e^(k + 1.05) must be a finite double
+    for k in (1e6, math.inf):
+        with pytest.raises(ValueError, match="level k"):
+            ExperimentConfig(m=2, p=2.0, k=k, n_teeth=1)
+
+
+def test_settable_fields_and_audit_constants():
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert names == ["m", "p", "k", "n_teeth", "C1", "C2", "quad"]
+    for name in ("r_cap", "strip_samples", "envelope_samples"):
+        with pytest.raises(TypeError):
+            ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=1, **{name: 2})
+    # constants, still read through a config as the benchmark does
+    assert (BASE.strip_samples, BASE.envelope_samples) == (2048, 512)
 
 
 def test_bracket_holds_on_final_profile():
@@ -342,24 +352,25 @@ def test_sweep_builds_each_construction_once(monkeypatch, tmp_path):
 def test_sweep_construction_error_fills_every_p_row():
     base = replace(BASE, k=2.0)
     with pytest.raises(Exception) as exc:
-        run_experiment(replace(base, k=13.0, n_teeth=2))
+        run_experiment(replace(base, k=40.0, n_teeth=2))
     want = f"{type(exc.value).__name__}: {exc.value}"
-    rows = sweep(base, [2], [1.5, 2.0, 4.0], [2.0, 13.0], [2])
-    assert [(r.p, r.k) for r in rows] == [(p, k) for p in (1.5, 2.0, 4.0) for k in (2.0, 13.0)]
+    rows = sweep(base, [2], [1.5, 2.0, 4.0], [2.0, 40.0], [2])
+    assert [(r.p, r.k) for r in rows] == [(p, k) for p in (1.5, 2.0, 4.0) for k in (2.0, 40.0)]
     for row in rows:
-        if row.k == 13.0:
+        if row.k == 40.0:
             assert row.report is None and row.error == want
         else:
             assert row.report is not None and row.error == ""
 
 
 def test_sweep_isolates_per_cell_errors():
-    # k=13 needs a Green table past the radius cap; only that row may fail
-    rows = sweep(replace(BASE, k=2.0), [2], [2.0], [2.0, 13.0], [2])
+    # at k=40 the window's corner blends no longer fit between its teeth;
+    # only that row may fail
+    rows = sweep(replace(BASE, k=2.0), [2], [2.0], [2.0, 40.0], [2])
     ok, bad = rows
     assert ok.report is not None and ok.error == ""
     assert bad.report is None
-    assert bad.error.startswith("OutOfRange:")
+    assert bad.error.startswith("CubeDoesNotFit:")
 
 
 def test_csv_shape_and_round_trip(tmp_path):

@@ -128,7 +128,8 @@ def test_u_derivative_fixture_pure_power():
 
 def test_u_vanishes_outside_support():
     tf = sawtooth_tf(2, 2.0, 4)
-    lo, hi = tf.support_r
+    half = 0.5 * tf.cutoff.delta
+    lo, hi = tf.green.inverse(tf.k + half), tf.green.inverse(tf.k + 1.0 - half)
     rs = np.asarray([tf.r_lo * 1.0001, lo * 0.9999, hi * 1.0001, tf.r_hi * 0.9999])
     u, lap, radial, tangential, _ = tf._fields(rs)
     for values in (u, lap, radial, tangential):
@@ -137,7 +138,9 @@ def test_u_vanishes_outside_support():
 
 def test_testfunction_validation():
     tf = pure_power_tf()
-    assert tf.r_lo < tf.support_r[0] < tf.support_r[1] < tf.r_hi
+    half = 0.5 * tf.cutoff.delta
+    lo, hi = tf.green.inverse(tf.k + half), tf.green.inverse(tf.k + 1.0 - half)
+    assert tf.r_lo < lo < hi < tf.r_hi
     with pytest.raises(ValueError):
         TestFunction(0.5, tf.cutoff, tf.green)
     # s_max = log 12 < 3, so k = 2 does not fit

@@ -53,15 +53,15 @@ def test_dimension_validation():
 
 def test_base_profile_fixture_values():
     p2 = build_base_profile(ManifoldConfig.from_dimension(2))
-    assert p2.eval(2.0)[0] == 2.5
+    assert p2.eval_many(2.0)[0] == 2.5
     p3 = build_base_profile(ManifoldConfig.from_dimension(3))
-    assert abs(p3.eval(4.0)[0] - math.sqrt(4.5)) <= 1e-15
+    assert abs(p3.eval_many(4.0)[0] - math.sqrt(4.5)) <= 1e-15
 
 
 def test_cap_boundary_conditions():
     for m in (2, 3, 5):
         prof = build_base_profile(ManifoldConfig.from_dimension(m))
-        y0, dy0, d2y0 = prof.eval(0.0)
+        y0, dy0, d2y0 = prof.eval_many(0.0)
         assert y0 == 0.0 and dy0 == 1.0 and d2y0 == 0.0
         mism = prof.knot_mismatches()
         assert mism["value"].max() <= 1e-13
@@ -130,9 +130,9 @@ def test_window_slopes_m2():
 def test_window_corners_single_tooth_m2():
     cfg = ManifoldConfig.from_dimension(2)
     prof = insert_sawtooth(build_base_profile(cfg), plan_window(cfg, 3.0, 1))
-    assert abs(prof.eval(3.0)[0] - 3.0) <= 1e-13
-    assert abs(prof.eval(3.5)[0] - 4.5) <= 1e-13
-    assert abs(prof.eval(4.0)[0] - 4.0) <= 1e-13
+    assert abs(prof.eval_many(3.0)[0] - 3.0) <= 1e-13
+    assert abs(prof.eval_many(3.5)[0] - 4.5) <= 1e-13
+    assert abs(prof.eval_many(4.0)[0] - 4.0) <= 1e-13
 
 
 def test_window_eta_and_corners_m3():
@@ -143,9 +143,9 @@ def test_window_eta_and_corners_m3():
     assert w.amplitude == w.width
     assert abs(w.base - math.sqrt(9.0 + eta)) <= 1e-15
     prof = insert_sawtooth(build_base_profile(cfg), w)
-    assert abs(prof.eval(w.z)[0] - w.base) <= 1e-12
+    assert abs(prof.eval_many(w.z)[0] - w.base) <= 1e-12
     top = w.base + w.amplitude
-    assert abs(prof.eval(w.z + w.step)[0] - top) <= 1e-12 * top
+    assert abs(prof.eval_many(w.z + w.step)[0] - top) <= 1e-12 * top
 
 
 def test_window_teeth_slopes_by_piece_inspection():
@@ -299,7 +299,7 @@ def test_piece_table_invariants():
         cfg, [POWER, BLEND, POWER], [0.0, 2.0, 2.1], [power, (0.0, 0.0, 0.0), power]
     )
     assert joined.piece_params.shape == (3, 3)
-    assert joined.eval(2.05) == (2.05 + 0.5, 1.0, 0.0)
+    assert joined.eval_many(2.05) == (2.05 + 0.5, 1.0, 0.0)
     none = (0.0, 0.0, 0.0)
     bad_tables = [
         ([BLEND, POWER], [0.0, 1.0], [none, power]),
