@@ -73,6 +73,10 @@ class ExperimentConfig:
     envelope_samples: ClassVar[int] = 512
 
     def __post_init__(self):
+        # bool is a subclass of int: True would pass the checks below as 1
+        for name in ("m", "k", "n_teeth", "C1", "C2"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError("dimension m must be an integer >= 2")
         _validate_p(self.p)

@@ -7,13 +7,14 @@ harmonic there while the sawtooth drives the Hessian through the tangential
 component sigma' u' / sigma.
 
 Norms use the rotationally invariant weight: ||f||_p^p is gamma_m times the
-integral of |f|^p sigma^(m-1) dr over the support bracket.  Each route has
-one fixed kernel that computes everything it needs per node in one
-evaluation.  In r, TestFunction._fields gives u, the collapsed Laplacian,
-both Hessian eigenvalues and sigma, and norms_report integrates the three
-norms as three columns of one quadrature pass.  In the Green coordinate s,
-s_integrals gives I_u and I_lap together; they admit the k-explicit bounds
-that audit_norm_chain verifies, and they check the r route independently.
+integral of |f|^p sigma^(m-1) dr over the support bracket.  One fixed kernel,
+TestFunction._fields, gives u, the collapsed Laplacian, both Hessian
+eigenvalues and sigma per node from one Green lookup.  norms_report
+integrates the three norms as three columns of one quadrature pass, and
+audit_norm_chain bounds the u and Laplacian masses I_u = ||u||_p^p / gamma_m
+and I_lap = ||Delta u||_p^p / gamma_m, which it takes from the same kernel
+over the same panels, so the chain bounds the very numbers the inequality
+uses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "volume_integral",
     "NormsReport",
     "norms_report",
-    "s_integrals",
     "audit_norm_chain",
 ]
 
@@ -244,67 +244,49 @@ def norms_report(tf: TestFunction, p: float, spec: QuadratureSpec) -> NormsRepor
     )
 
 
-def _s_panels(tf: TestFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and (k, 2) blend slivers mapped into the Green coordinate."""
-    d = tf.cutoff.delta
-    knots = tf.green.profile.knots_in(tf.r_lo, tf.r_hi)
-    pts = [np.asarray([0.5 * d, d, 1.0 - d, 1.0 - 0.5 * d])]
-    if knots.size:
-        pts.append(tf.green.value_many(knots) - tf.k)
-    spans = tf.green.profile.blend_spans_in(tf.r_lo, tf.r_hi)
-    slivers = tf.green.value_many(spans) - tf.k
-    return np.concatenate(pts), slivers[slivers[:, 0] < slivers[:, 1]]
-
-
-def s_integrals(
-    tf: TestFunction, p: float, spec: QuadratureSpec
-) -> list[tuple[float, float]]:
-    """[(I_u, error), (I_lap, error)] in one pass over s in [0, 1].
-
-    I_u is the integral of |phi|^p sigma(Ginv(k+s))^(2(m-1)) and I_lap that
-    of |phi''|^p sigma(Ginv(k+s))^((2-2p)(m-1)): the u and Laplacian masses
-    in the Green coordinate, without gamma_m.
-    """
-    p = _validate_p(p)
-    m = tf.green.profile.config.m
-    e_u = 2 * (m - 1)
-    e_lap = (2.0 - 2.0 * p) * (m - 1)
-
-    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r, rows = tf.green._inverse_rows(tf.k + s)
-        sigma = tf.green.profile._eval_rows(rows, r)[0]
-        phi, _, d2phi = tf.cutoff.eval_many(s)
-        return np.abs(phi) ** p * sigma**e_u, np.abs(d2phi) ** p * sigma**e_lap
-
-    brk, slivers = _s_panels(tf)
-    result = integrate(
-        integrand, 0.0, 1.0, breakpoints=brk, spec=spec, slivers=slivers
-    )
-    return list(result.columns)
-
-
 def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundAudit:
     """k-explicit bound chain: u mass above, Laplacian mass above, tooth mass below.
 
-    upper bounds (in the Green coordinate, without gamma_m):
+    upper bounds, without gamma_m:
       I_u   <= 2 e^(2k+2) for m = 2, else 4 e^(2(k+1))
       I_lap <= sup|phi''|^p e^(-2(p-1)k)
     lower bound, per window inside the support, on the raw slope mass
     integral of |sigma'|^p dt over the footprint:
       m = 2   n (step - 2 w_s) (2n-1)^p
       m >= 3  (eta - 4 l w_s) (amplitude/step)^p
+
+    I_u and I_lap are ||u||_p^p / gamma_m and ||Delta u||_p^p / gamma_m; in
+    the Green coordinate they are the integrals over s in [0, 1] of
+    |phi|^p sigma^(2(m-1)) and |phi''|^p sigma^((2-2p)(m-1)).  They come
+    from one pass of norms_report's kernel over its panels, so they equal
+    its u and Laplacian columns divided by gamma_m, bit for bit.  Each upper
+    entry is the relative excess of mass plus error over its bound.  The
+    Laplacian's is formed in logarithms, because sup|phi''|^p overflows a
+    float above p = 81, and reads -1 for a zero mass.
     """
     p = _validate_p(p)
     k = tf.k
     m = tf.green.profile.config.m
+    gamma = tf.green.profile.config.gamma_m
     audit = BoundAudit()
 
-    (iu, iu_err), (il, il_err) = s_integrals(tf, p, spec)
+    def powers_sigma(r: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        u, lap, _, _, sigma = tf._fields(r)
+        return (np.abs(u) ** p, np.abs(lap) ** p), sigma
+
+    (u_pow, u_err), (lap_pow, lap_err) = _weighted_integrals(
+        tf.green.profile, powers_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
+    )
+    iu, iu_err = u_pow / gamma, u_err / gamma
+    il, il_err = lap_pow / gamma, lap_err / gamma
     bound_u = 2.0 * math.exp(2.0 * k + 2.0) if m == 2 else 4.0 * math.exp(2.0 * (k + 1.0))
     audit.add("u_mass_upper", (iu + iu_err - bound_u) / bound_u, k, 0.0)
 
-    bound_l = tf.cutoff.sup_d2**p * math.exp(-2.0 * (p - 1.0) * k)
-    audit.add("laplacian_mass_upper", (il + il_err - bound_l) / bound_l, k, 0.0)
+    excess = -1.0
+    if il + il_err > 0.0:
+        log_bound = p * math.log(tf.cutoff.sup_d2) - 2.0 * (p - 1.0) * k
+        excess = math.expm1(math.log(il + il_err) - log_bound)
+    audit.add("laplacian_mass_upper", excess, k, 0.0)
 
     profile = tf.green.profile
     for window in profile.windows:

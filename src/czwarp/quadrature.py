@@ -69,13 +69,21 @@ Columns = np.ndarray | tuple[np.ndarray, ...]
 
 
 class QuadratureNotConverged(RuntimeError):
-    """A panel could not meet its error share within max_depth bisections."""
+    """A panel could not meet its error share within max_depth bisections.
+
+    A panel whose error estimate is not finite raises at once: the integrand
+    is not finite there, and no bisection can bring it within its share.
+    """
 
     def __init__(self, a: float, b: float, err: float, share: float):
-        super().__init__(
-            f"panel [{a!r}, {b!r}]: error estimate {err:.6e} exceeds share "
-            f"{share:.6e} at maximum bisection depth"
-        )
+        if math.isfinite(err):
+            detail = (
+                f"error estimate {err:.6e} exceeds share {share:.6e} "
+                "at maximum bisection depth"
+            )
+        else:
+            detail = f"the integrand is not finite there (error estimate {err!r})"
+        super().__init__(f"panel [{a!r}, {b!r}]: {detail}")
         self.panel = (a, b)
         self.err = err
         self.share = share
@@ -274,7 +282,8 @@ def integrate(
     piecewise analytic integrands whose kinks are all registered as
     breakpoints.  Breakpoints outside (a, b) are dropped; duplicates are
     merged.  Raises QuadratureNotConverged when a panel still exceeds its
-    error share at max_depth.
+    error share at max_depth, and at once for a panel whose error estimate
+    is not finite.
 
     f may return a tuple of arrays instead of one array: several integrands
     over the same nodes.  The columns share the panels and every integrand
@@ -379,9 +388,14 @@ class _Column:
 
         value and err belong to the open panels; free marks panels accepted
         whatever their estimate.  Returns whether any panel is left open;
-        when one is, and this was the last depth, raises instead.
+        when one is, and this was the last depth, raises instead.  Raises
+        for the first panel whose estimate is not finite, free or not.
         """
         lo, hi = self.lo, self.hi
+        finite = np.isfinite(err)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise QuadratureNotConverged(float(lo[i]), float(hi[i]), float(err[i]), math.nan)
         abs_val = np.abs(value)
         scale = self.done_abs_sum + float(np.sum(abs_val))
         budget = max(_BUDGET_FLOOR, spec.rel_tol * scale)
@@ -445,6 +459,13 @@ class BoundAudit:
         )
         self.entries.append(entry)
         return entry
+
+    def add_worst(
+        self, name: str, violation: np.ndarray, locations: np.ndarray, tol: float
+    ) -> AuditEntry:
+        """Record the largest entry of violation, at its entry of locations."""
+        i = int(np.argmax(violation))
+        return self.add(name, float(violation[i]), float(locations[i]), tol)
 
     def extend(self, other: "BoundAudit") -> None:
         self.entries.extend(other.entries)

@@ -357,23 +357,6 @@ class WarpingProfile:
         y, dy, d2y = self._eval_rows(self.piece_index(flat), flat)
         return y.reshape(t.shape), dy.reshape(t.shape), d2y.reshape(t.shape)
 
-    def knot_mismatches(self) -> dict[str, np.ndarray]:
-        """One-sided value/slope/curvature gaps at every interior knot.
-
-        Checked by piece inspection: the left piece and the right piece are
-        each evaluated at the shared boundary point.
-        """
-        n = self.piece_t0.size
-        ts = self.piece_t0[1:]
-        left = self._eval_rows(np.arange(0, n - 1), ts)
-        right = self._eval_rows(np.arange(1, n), ts)
-        return {
-            "knots": ts,
-            "value": np.abs(left[0] - right[0]),
-            "slope": np.abs(left[1] - right[1]),
-            "curvature": np.abs(left[2] - right[2]),
-        }
-
 
 def _cap_coefficients(alpha: float) -> tuple[float, float, float]:
     v = 1.5**alpha
@@ -620,10 +603,8 @@ def audit_strip(
     low_viol = (floor - y) / np.maximum(1.0, floor)
     high_viol = (y - ceil) / np.maximum(1.0, ceil)
     audit = BoundAudit()
-    i = int(np.argmax(low_viol))
-    audit.add("strip_lower", float(low_viol[i]), float(ts[i]), STRIP_TOL)
-    j = int(np.argmax(high_viol))
-    audit.add("strip_upper", float(high_viol[j]), float(ts[j]), STRIP_TOL)
+    audit.add_worst("strip_lower", low_viol, ts, STRIP_TOL)
+    audit.add_worst("strip_upper", high_viol, ts, STRIP_TOL)
     return audit
 
 

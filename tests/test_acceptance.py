@@ -18,16 +18,11 @@ import pytest
 from czwarp.cli import main
 from czwarp.experiment import ExperimentConfig, build_construction, run_experiment
 from czwarp.green import GreenFunction, audit_green_bounds
-from czwarp.norms import (
-    CutoffFunction,
-    TestFunction,
-    norms_report,
-    s_integrals,
-    volume_integral,
-)
+from czwarp.norms import CutoffFunction, TestFunction, norms_report, volume_integral
 from czwarp.quadrature import QuadratureSpec, integrate
 from czwarp.warping import POWER, ManifoldConfig, WarpingProfile, audit_strip
 from laplacian_routes import worst_route_discrepancy
+from s_route import s_integrals
 
 SPEC = QuadratureSpec(base_order=8, rel_tol=1e-8)
 

@@ -345,6 +345,16 @@ def test_quadrature_blowup_exits_four(capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_integrand_exits_four(capsys):
+    # the tooth-mass floor's |sigma'|^400 overflows a float: the audit names
+    # the panel at once
+    rc = main(["audit", "--m", "2", "--p", "400", "--k", "3", "--n", "4"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "integrand is not finite" in err
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

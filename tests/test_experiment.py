@@ -56,6 +56,14 @@ def test_config_validation():
             ExperimentConfig(m=2, p=2.0, k=k, n_teeth=1)
 
 
+@pytest.mark.parametrize("name", ["m", "k", "n_teeth", "C1", "C2"])
+def test_config_rejects_bools(name: str):
+    # True equals 1 and would otherwise pass for k, n_teeth, C1 and C2
+    fields = {"m": 2, "p": 2.0, "k": 3.0, "n_teeth": 1, name: True}
+    with pytest.raises(ValueError, match=f"{name} must be a number, not True"):
+        ExperimentConfig(**fields)
+
+
 def test_settable_fields_and_audit_constants():
     names = [f.name for f in fields(ExperimentConfig)]
     assert names == ["m", "p", "k", "n_teeth", "C1", "C2", "quad"]

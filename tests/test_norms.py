@@ -16,7 +16,6 @@ from czwarp.norms import (
     TestFunction,
     audit_norm_chain,
     norms_report,
-    s_integrals,
     volume_integral,
 )
 from czwarp.quadrature import QuadratureSpec, integrate
@@ -30,6 +29,7 @@ from czwarp.warping import (
     plan_window,
 )
 from laplacian_routes import worst_route_discrepancy
+from s_route import s_integrals
 
 SPEC = QuadratureSpec(base_order=8, rel_tol=1e-8)
 
@@ -192,14 +192,14 @@ def test_i_u_sandwich_closed_form():
     assert lower - err <= iu <= upper + err
 
 
-@pytest.mark.parametrize("route", ["norms_report", "s_integrals"])
+@pytest.mark.parametrize("route", ["norms_report", "audit_norm_chain"])
 def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
-    # each route's kernel evaluates sigma once per quadrature node and forms
-    # every column from it: norms_report hands it to the volume weight of
-    # all three norms, s_integrals raises it to the exponents of I_u and
-    # I_lap.  sigma is counted at _eval_rows, the entry every sigma
-    # evaluation goes through: both integrands take their rows from the
-    # Green table's lookup and never call eval_many
+    # each integrand evaluates sigma once per quadrature node and forms every
+    # column from it: norms_report and the chain's u and Laplacian masses hand
+    # it to the volume weight, the chain's tooth-mass floor takes sigma' from
+    # the same evaluation.  sigma is counted at _eval_rows, the entry every
+    # sigma evaluation goes through; the norms integrands take their rows
+    # from the Green table's lookup and never call eval_many
     tf = sawtooth_tf(2, 2.0, 8)
     counts = {"sigma": 0, "integrand": 0}
     eval_rows = WarpingProfile._eval_rows
@@ -291,9 +291,43 @@ def test_audit_norm_chain_passes(m: int, p: float):
     assert any(name.startswith("tooth_mass_lower") for name in names)
 
 
+@pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])
+def test_chain_bounds_the_norms_report_masses(m: int, p: float):
+    # the chain's I_u and I_lap are norms_report's u and Laplacian columns
+    # over gamma_m, bit for bit: it bounds the numbers the inequality uses
+    tf = sawtooth_tf(m, 2.0, 8)
+    k = tf.k
+    gamma = tf.green.profile.config.gamma_m
+    rep = norms_report(tf, p, SPEC)
+    iu = rep.norm_u_p_pow / gamma + rep.err_u / gamma
+    il = rep.norm_lap_p_pow / gamma + rep.err_lap / gamma
+    bound_u = 2.0 * math.exp(2.0 * k + 2.0) if m == 2 else 4.0 * math.exp(2.0 * (k + 1.0))
+    log_bound_l = p * math.log(tf.cutoff.sup_d2) - 2.0 * (p - 1.0) * k
+    want = ((iu - bound_u) / bound_u, math.expm1(math.log(il) - log_bound_l))
+    entries = {e.name: e.worst_violation for e in audit_norm_chain(tf, p, SPEC).entries}
+    got = (entries["u_mass_upper"], entries["laplacian_mass_upper"])
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+def test_chain_upper_bounds_hold_at_large_p():
+    # sup|phi''|^100 and the Green-coordinate integrand |phi''|^100 both
+    # overflow a float; the r route's masses stay finite
+    entries = {e.name: e for e in audit_norm_chain(sawtooth_tf(2, 3.0, 4), 100.0, SPEC).entries}
+    for name in ("u_mass_upper", "laplacian_mass_upper"):
+        assert entries[name].passed, entries[name]
+        assert math.isfinite(entries[name].worst_violation)
+
+
+def test_chain_zero_mass_reads_minus_one(monkeypatch):
+    monkeypatch.setattr(norms_module, "_weighted_integrals", lambda *args: [(0.0, 0.0)] * 2)
+    entries = audit_norm_chain(sawtooth_tf(2, 2.0, 8), 2.0, SPEC).entries
+    got = {e.name: e.worst_violation for e in entries}
+    assert got["u_mass_upper"] == got["laplacian_mass_upper"] == -1.0
+
+
 def test_lp_norm_validation():
     tf = pure_power_tf()
-    for route in (norms_report, s_integrals, audit_norm_chain):
+    for route in (norms_report, audit_norm_chain):
         for p in (1.0, math.inf):
             with pytest.raises(ValueError):
                 route(tf, p, SPEC)
@@ -313,28 +347,30 @@ def test_norms_report_fields():
 
 # repr of every number below, recorded before the three norms and the two
 # s-integrals shared one quadrature pass; a change that moves any bit fails
-# here, and an intended numeric change must update these openly
+# here, and an intended numeric change must update these openly.  The chain
+# entries were recorded again when the chain took I_u and I_lap from the
+# r-route kernel instead of the s route, which the I_u and I_lap pairs pin
 GOLDEN = {
     (2, 2.0, 64): (
         (6827.666815287771, 480.17818224399116, 485.94241846001603),
         (2.9879456817497603e-07, 5.324113175477281e-07, 5.319903744694232e-07),
         (1086.6569234375522, 4.988981738100227e-08),
         (76.42273126901247, 8.729442448567447e-08),
-        (-0.8177336064092219, -0.9992320926200681),
+        (-0.8177336064096145, -0.9992320926200937),
     ),
     (3, 1.5, 257): (
         (16110.591013124827, 1092.0377080638327, 1156.979763624409),
         (1.840670702727545e-05, 5.13049235072768e-08, 1.2536240717468416e-07),
         (1282.0400979090214, 4.227144017878836e-06),
         (86.90159964055162, 4.8681849367284375e-09),
-        (-0.8924808645652493, -0.9965394051074663),
+        (-0.8924808647947111, -0.9965394051074976),
     ),
     (4, 4.0, 130): (
         (12638.798589239615, 1166.8933808764414, 14010.295953410203),
         (3.9207248869066544e-07, 1.5930718601144198e-06, 3.8655999976256464e-05),
         (640.2890164366191, 8.713800921439994e-08),
         (59.11550926741432, 1.6990706644860332e-09),
-        (-0.9463017409749565, -0.999997592086405),
+        (-0.9463017409803626, -0.9999975920864017),
     ),
 }
 

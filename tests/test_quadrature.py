@@ -373,6 +373,23 @@ def test_pooled_non_convergence_names_the_same_panel(monkeypatch):
     assert serial == pooled
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_integrand_raises_for_its_depth_zero_panel(monkeypatch):
+    # 40 unit panels in 5 batches of 8; the integrand is inf on [17, 18]
+    # alone.  No bisection brings an infinite estimate within its share, so
+    # that panel raises at once instead of being bisected to max_depth
+    spec = QuadratureSpec(max_depth=10)
+    f = lambda x: np.where((x > 17.0) & (x < 18.0), np.inf, np.cos(x))
+
+    def call():
+        with pytest.raises(QuadratureNotConverged, match="integrand is not finite") as info:
+            integrate(f, 0.0, 40.0, breakpoints=range(1, 40), spec=spec)
+        return info.value.panel
+
+    serial, pooled = _serial_and_pooled(monkeypatch, call)
+    assert serial == pooled == (17.0, 18.0)
+
+
 def test_integrand_may_call_integrate(monkeypatch):
     def inner_mass(x):
         return integrate(np.exp, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, 30)[1:-1])[0]

@@ -29,6 +29,7 @@ from czwarp.warping import (
     profile_from_json,
     profile_to_json,
 )
+from knot_gaps import knot_mismatches
 
 
 def test_dimension_constants():
@@ -63,7 +64,7 @@ def test_cap_boundary_conditions():
         prof = build_base_profile(ManifoldConfig.from_dimension(m))
         y0, dy0, d2y0 = prof.eval_many(0.0)
         assert y0 == 0.0 and dy0 == 1.0 and d2y0 == 0.0
-        mism = prof.knot_mismatches()
+        mism = knot_mismatches(prof)
         assert mism["value"].max() <= 1e-13
         assert mism["slope"].max() <= 1e-13
         assert mism["curvature"].max() <= 1e-13
@@ -213,7 +214,7 @@ def test_profile_smoothness_at_knots():
     for m, h, n in ((2, 4.0, 8), (3, 9.0, 4)):
         cfg = ManifoldConfig.from_dimension(m)
         prof = insert_sawtooth(build_base_profile(cfg), plan_window(cfg, h, n))
-        mism = prof.knot_mismatches()
+        mism = knot_mismatches(prof)
         assert mism["value"].max() <= 1e-12
         assert mism["slope"].max() <= 1e-11
         assert mism["curvature"].max() <= 1e-9
