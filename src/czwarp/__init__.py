@@ -1,96 +1,18 @@
 """Warped-product manifolds whose oscillating warping defeats the
-L^p Calderon-Zygmund inequality, with verified-quadrature norm accounting."""
+L^p Calderon-Zygmund inequality, with verified-quadrature norm accounting.
 
-from .experiment import (
-    AuditFailed,
-    CSV_COLUMNS,
-    CZReport,
-    ExperimentConfig,
-    SweepRow,
-    build_construction,
-    run_experiment,
-    search_min_n,
-    sweep,
-    write_csv,
-)
-from .green import (
-    DELTA_UNIVERSAL,
-    GreenFunction,
-    OutOfRange,
-    WindowTooNarrow,
-    audit_green_bounds,
-    find_h,
-)
-from .norms import (
-    CutoffFunction,
-    NormsReport,
-    TestFunction,
-    audit_norm_chain,
-    norms_report,
-    volume_integral,
-)
-from .quadrature import (
-    AuditEntry,
-    BoundAudit,
-    QuadratureNotConverged,
-    QuadratureSpec,
-    integrate,
-)
-from .warping import (
-    CubeDoesNotFit,
-    FootprintOutOfRange,
-    ManifoldConfig,
-    OverlappingWindow,
-    SawtoothWindow,
-    WarpingProfile,
-    audit_strip,
-    build_base_profile,
-    insert_sawtooth,
-    plan_window,
-    profile_from_json,
-    profile_to_json,
-)
+Re-exports the __all__ of every library module; czwarp.cli is not imported.
+"""
+
+from . import experiment, green, norms, quadrature, warping
+from .experiment import *  # noqa: F403
+from .green import *  # noqa: F403
+from .norms import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .warping import *  # noqa: F403
 
 __all__ = [
-    "AuditEntry",
-    "AuditFailed",
-    "BoundAudit",
-    "CSV_COLUMNS",
-    "CZReport",
-    "CubeDoesNotFit",
-    "CutoffFunction",
-    "DELTA_UNIVERSAL",
-    "ExperimentConfig",
-    "FootprintOutOfRange",
-    "GreenFunction",
-    "ManifoldConfig",
-    "NormsReport",
-    "OutOfRange",
-    "OverlappingWindow",
-    "QuadratureNotConverged",
-    "QuadratureSpec",
-    "SawtoothWindow",
-    "SweepRow",
-    "TestFunction",
-    "WarpingProfile",
-    "WindowTooNarrow",
-    "audit_green_bounds",
-    "audit_norm_chain",
-    "audit_strip",
-    "build_base_profile",
-    "build_construction",
-    "find_h",
-    "insert_sawtooth",
-    "integrate",
-    "norms_report",
-    "plan_window",
-    "profile_from_json",
-    "profile_to_json",
-    "run_experiment",
-    "search_min_n",
-    "sweep",
-    "volume_integral",
-    "write_csv",
+    name for module in (experiment, green, norms, quadrature, warping) for name in module.__all__
 ]
 
 __version__ = "0.1.0"

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
+import numpy as np
+
 from .green import DELTA_UNIVERSAL, GreenFunction, WindowTooNarrow, audit_green_bounds, find_h
 from .norms import CutoffFunction, NormsReport, TestFunction, _validate_p, norms_report
 from .quadrature import BoundAudit, QuadratureSpec
@@ -73,9 +75,10 @@ class ExperimentConfig:
     envelope_samples: ClassVar[int] = 512
 
     def __post_init__(self):
-        # bool is a subclass of int: True would pass the checks below as 1
+        # bool is a subclass of int, and numpy's bool compares like one: True
+        # would pass the checks below as 1
         for name in ("m", "k", "n_teeth", "C1", "C2"):
-            if isinstance(getattr(self, name), bool):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError("dimension m must be an integer >= 2")

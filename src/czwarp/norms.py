@@ -12,9 +12,8 @@ TestFunction._fields, gives u, the collapsed Laplacian, both Hessian
 eigenvalues and sigma per node from one Green lookup.  norms_report
 integrates the three norms as three columns of one quadrature pass, and
 audit_norm_chain bounds the u and Laplacian masses I_u = ||u||_p^p / gamma_m
-and I_lap = ||Delta u||_p^p / gamma_m, which it takes from the same kernel
-over the same panels, so the chain bounds the very numbers the inequality
-uses.
+and I_lap = ||Delta u||_p^p / gamma_m, which it reads from a norms_report,
+so the chain bounds the very numbers the inequality uses.
 """
 
 from __future__ import annotations
@@ -257,28 +256,21 @@ def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundA
 
     I_u and I_lap are ||u||_p^p / gamma_m and ||Delta u||_p^p / gamma_m; in
     the Green coordinate they are the integrals over s in [0, 1] of
-    |phi|^p sigma^(2(m-1)) and |phi''|^p sigma^((2-2p)(m-1)).  They come
-    from one pass of norms_report's kernel over its panels, so they equal
-    its u and Laplacian columns divided by gamma_m, bit for bit.  Each upper
-    entry is the relative excess of mass plus error over its bound.  The
-    Laplacian's is formed in logarithms, because sup|phi''|^p overflows a
-    float above p = 81, and reads -1 for a zero mass.
+    |phi|^p sigma^(2(m-1)) and |phi''|^p sigma^((2-2p)(m-1)).  They are
+    read from one norms_report(tf, p, spec): its u and Laplacian masses and
+    their errors divided by gamma_m.  Each upper entry is the relative
+    excess of mass plus error over its bound.  The Laplacian's is formed in
+    logarithms, because sup|phi''|^p overflows a float above p = 81, and
+    reads -1 for a zero mass.
     """
-    p = _validate_p(p)
+    report = norms_report(tf, p, spec)
+    p = report.p
     k = tf.k
     m = tf.green.profile.config.m
     gamma = tf.green.profile.config.gamma_m
     audit = BoundAudit()
-
-    def powers_sigma(r: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        u, lap, _, _, sigma = tf._fields(r)
-        return (np.abs(u) ** p, np.abs(lap) ** p), sigma
-
-    (u_pow, u_err), (lap_pow, lap_err) = _weighted_integrals(
-        tf.green.profile, powers_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
-    )
-    iu, iu_err = u_pow / gamma, u_err / gamma
-    il, il_err = lap_pow / gamma, lap_err / gamma
+    iu, iu_err = report.norm_u_p_pow / gamma, report.err_u / gamma
+    il, il_err = report.norm_lap_p_pow / gamma, report.err_lap / gamma
     bound_u = 2.0 * math.exp(2.0 * k + 2.0) if m == 2 else 4.0 * math.exp(2.0 * (k + 1.0))
     audit.add("u_mass_upper", (iu + iu_err - bound_u) / bound_u, k, 0.0)
 

@@ -63,6 +63,9 @@ _NOISE = 2.0 ** -50
 # absolute floor of a column's error budget, so a vanishing integral does
 # not demand error estimates of exactly zero
 _BUDGET_FLOOR = 1e-300
+# numpy's warnings, silenced while a pass evaluates and folds: a value that is
+# not finite ends integrate() with a QuadratureNotConverged naming its panel
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 # an integrand's values at the nodes: one array, or a tuple of columns
 Columns = np.ndarray | tuple[np.ndarray, ...]
@@ -211,13 +214,16 @@ def _panel_pass(
         pts = np.empty((start, order))
         for x0, w, r in spans:
             np.add(x0[:, None], w[:, None] * nodes[None, :], out=pts[r])
-        cols = [
-            np.asarray(v, dtype=float).reshape(pts.shape) for v in _columns(f, pts.reshape(-1))
-        ]
-        return [
-            [w * (v[r] @ weights) for v in cols[sets[k][2]]]
-            for (k, _, _), (_, w, r) in zip(call, spans)
-        ]
+        # error state is per thread, so a pool thread enters its own
+        with np.errstate(**_QUIET):
+            cols = [
+                np.asarray(v, dtype=float).reshape(pts.shape)
+                for v in _columns(f, pts.reshape(-1))
+            ]
+            return [
+                [w * (v[r] @ weights) for v in cols[sets[k][2]]]
+                for (k, _, _), (_, w, r) in zip(call, spans)
+            ]
 
     # per set and selected column: the halves' sum, and the whole-panel rule
     # until a batch's right half arrives and turns it into the error
@@ -232,6 +238,7 @@ def _panel_pass(
         return [run(call) for call in task]
 
     with contextlib.ExitStack() as stack:
+        stack.enter_context(np.errstate(**_QUIET))
         if workers > 1:
             results = stack.enter_context(ThreadPoolExecutor(workers)).map(run_task, tasks)
         else:

@@ -345,13 +345,13 @@ def test_quadrature_blowup_exits_four(capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_integrand_exits_four(capsys):
     # the tooth-mass floor's |sigma'|^400 overflows a float: the audit names
-    # the panel at once
+    # the panel at once, and numpy's overflow warnings stay off stderr
     rc = main(["audit", "--m", "2", "--p", "400", "--k", "3", "--n", "4"])
     assert rc == 4
     err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "did not converge" in err and "integrand is not finite" in err
 
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import re
 import threading
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from czwarp.experiment import (
@@ -58,10 +60,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name", ["m", "k", "n_teeth", "C1", "C2"])
 def test_config_rejects_bools(name: str):
-    # True equals 1 and would otherwise pass for k, n_teeth, C1 and C2
-    fields = {"m": 2, "p": 2.0, "k": 3.0, "n_teeth": 1, name: True}
-    with pytest.raises(ValueError, match=f"{name} must be a number, not True"):
-        ExperimentConfig(**fields)
+    # True equals 1 and would otherwise pass for k, n_teeth, C1 and C2;
+    # numpy's bool is no subclass of bool but compares the same way
+    for flag in (True, np.True_):
+        fields = {"m": 2, "p": 2.0, "k": 3.0, "n_teeth": 1, name: flag}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, not {flag!r}")):
+            ExperimentConfig(**fields)
 
 
 def test_settable_fields_and_audit_constants():

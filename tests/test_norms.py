@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from czwarp.experiment import ExperimentConfig, build_construction
 from czwarp.green import DELTA_UNIVERSAL, GreenFunction, find_h
 from czwarp.norms import (
     CutoffFunction,
+    NormsReport,
     TestFunction,
     audit_norm_chain,
     norms_report,
@@ -318,8 +320,31 @@ def test_chain_upper_bounds_hold_at_large_p():
         assert math.isfinite(entries[name].worst_violation)
 
 
+def test_chain_reads_one_norms_report(monkeypatch):
+    # the chain's I_u and I_lap are the masses of the one report it asks
+    # for: scaling that report's u and Laplacian columns moves the entries
+    tf = sawtooth_tf(2, 2.0, 8)
+    gamma = tf.green.profile.config.gamma_m
+    calls = []
+
+    def scaled_report(*args):
+        calls.append(args)
+        rep = norms_report(*args)
+        return replace(rep, norm_u_p_pow=4.0 * rep.norm_u_p_pow, norm_lap_p_pow=0.0, err_lap=0.0)
+
+    monkeypatch.setattr(norms_module, "norms_report", scaled_report)
+    entries = {e.name: e.worst_violation for e in audit_norm_chain(tf, 2.0, SPEC).entries}
+    assert len(calls) == 1 and calls[0][0] is tf and calls[0][1:] == (2.0, SPEC)
+    rep = norms_report(tf, 2.0, SPEC)
+    bound_u = 2.0 * math.exp(2.0 * tf.k + 2.0)
+    iu = 4.0 * rep.norm_u_p_pow / gamma + rep.err_u / gamma
+    assert entries["u_mass_upper"] == (iu - bound_u) / bound_u
+    assert entries["laplacian_mass_upper"] == -1.0
+
+
 def test_chain_zero_mass_reads_minus_one(monkeypatch):
-    monkeypatch.setattr(norms_module, "_weighted_integrals", lambda *args: [(0.0, 0.0)] * 2)
+    zero = NormsReport(2.0, 2.0, *[0.0] * 6)  # p, k, then three masses and their errors
+    monkeypatch.setattr(norms_module, "norms_report", lambda *args: zero)
     entries = audit_norm_chain(sawtooth_tf(2, 2.0, 8), 2.0, SPEC).entries
     got = {e.name: e.worst_violation for e in entries}
     assert got["u_mass_upper"] == got["laplacian_mass_upper"] == -1.0

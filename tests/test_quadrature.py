@@ -373,7 +373,6 @@ def test_pooled_non_convergence_names_the_same_panel(monkeypatch):
     assert serial == pooled
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_integrand_raises_for_its_depth_zero_panel(monkeypatch):
     # 40 unit panels in 5 batches of 8; the integrand is inf on [17, 18]
     # alone.  No bisection brings an infinite estimate within its share, so
@@ -384,6 +383,22 @@ def test_non_finite_integrand_raises_for_its_depth_zero_panel(monkeypatch):
     def call():
         with pytest.raises(QuadratureNotConverged, match="integrand is not finite") as info:
             integrate(f, 0.0, 40.0, breakpoints=range(1, 40), spec=spec)
+        return info.value.panel
+
+    serial, pooled = _serial_and_pooled(monkeypatch, call)
+    assert serial == pooled == (17.0, 18.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_integrand_warns_on_no_thread(monkeypatch):
+    # exp overflows on [17, 18] alone.  Pool threads do not inherit the
+    # caller's numpy error state, so each call enters its own, and no
+    # thread warns
+    f = lambda x: np.exp(np.where((x > 17.0) & (x < 18.0), 1e3, 0.0)) * np.cos(x)
+
+    def call():
+        with pytest.raises(QuadratureNotConverged, match="integrand is not finite") as info:
+            integrate(f, 0.0, 40.0, breakpoints=range(1, 40))
         return info.value.panel
 
     serial, pooled = _serial_and_pooled(monkeypatch, call)
