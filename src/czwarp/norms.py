@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green import DELTA_UNIVERSAL, GreenFunction
-from .quadrature import BoundAudit, QuadratureSpec, integrate
-from .warping import _smoothstep
+from .quadrature import BoundAudit, QuadratureSpec, _fsum, integrate
+from .warping import LINEAR, _smoothstep
 
 __all__ = [
     "CutoffFunction",
     "TestFunction",
-    "volume_integral",
     "NormsReport",
     "norms_report",
     "audit_norm_chain",
@@ -136,50 +135,6 @@ class TestFunction:
         return phi, d2phi * sigma ** (2 - 2 * m), d2u, dsigma * du / sigma, sigma
 
 
-def _weighted_integrals(
-    profile, fields_sigma, a: float, b: float, breakpoints, spec: QuadratureSpec
-) -> list[tuple[float, float]]:
-    """gamma_m * integral of f(r) sigma^(m-1) dr for each f, in one pass.
-
-    fields_sigma(r) returns (tuple of f values, sigma).
-    """
-    m = profile.config.m
-    gamma = profile.config.gamma_m
-
-    def integrand(r: np.ndarray) -> tuple[np.ndarray, ...]:
-        fields, sigma = fields_sigma(r)
-        weight = sigma ** (m - 1)
-        return tuple(f * weight for f in fields)
-
-    result = integrate(
-        integrand,
-        a,
-        b,
-        breakpoints=breakpoints,
-        spec=spec,
-        slivers=profile.blend_spans_in(a, b),
-    )
-    return [(gamma * value, gamma * err) for value, err in result.columns]
-
-
-def volume_integral(
-    profile,
-    f_many,
-    a: float,
-    b: float,
-    spec: QuadratureSpec,
-) -> tuple[float, float]:
-    """gamma_m * integral of f(r) sigma^(m-1) dr with knot-aware panels."""
-    return _weighted_integrals(
-        profile,
-        lambda r: ((f_many(r),), profile.eval_many(r)[0]),
-        a,
-        b,
-        profile.knots_in(a, b),
-        spec,
-    )[0]
-
-
 def _validate_p(p: float) -> float:
     p = float(p)
     if not (1.0 < p < math.inf):
@@ -188,15 +143,6 @@ def _validate_p(p: float) -> float:
             "classical theory and are not handled here"
         )
     return p
-
-
-def _norm_breakpoints(tf: TestFunction) -> np.ndarray:
-    d = tf.cutoff.delta
-    transitions = tf.green.inverse_many(
-        tf.k + np.asarray([0.5 * d, d, 1.0 - d, 1.0 - 0.5 * d])
-    )
-    knots = tf.green.profile.knots_in(tf.r_lo, tf.r_hi)
-    return np.concatenate([transitions, knots])
 
 
 @dataclass(frozen=True)
@@ -218,29 +164,93 @@ class NormsReport:
 def norms_report(tf: TestFunction, p: float, spec: QuadratureSpec) -> NormsReport:
     """The three norms of the inequality over [Ginv(k), Ginv(k+1)], in one pass.
 
-    The Hessian enters as its frame norm sqrt(u''^2 + (m-1) (sigma' u' / sigma)^2).
+    Each is gamma_m times the integral of |f|^p sigma^(m-1) dr.  The Hessian
+    enters as its frame norm sqrt(u''^2 + (m-1) (sigma' u' / sigma)^2).
     """
     p = _validate_p(p)
-    m = tf.green.profile.config.m
+    profile = tf.green.profile
+    m = profile.config.m
+    gamma = profile.config.gamma_m
 
-    def powers_sigma(r: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def integrand(r: np.ndarray) -> tuple[np.ndarray, ...]:
         u, lap, radial, tangential, sigma = tf._fields(r)
         hess = np.sqrt(radial**2 + (m - 1) * tangential**2)
-        return (np.abs(u) ** p, np.abs(lap) ** p, np.abs(hess) ** p), sigma
+        weight = sigma ** (m - 1)
+        return tuple(np.abs(f) ** p * weight for f in (u, lap, hess))
 
-    (u_pow, u_err), (lap_pow, lap_err), (hess_pow, hess_err) = _weighted_integrals(
-        tf.green.profile, powers_sigma, tf.r_lo, tf.r_hi, _norm_breakpoints(tf), spec
-    )
-    return NormsReport(
-        p=p,
-        k=tf.k,
-        norm_u_p_pow=u_pow,
-        norm_lap_p_pow=lap_pow,
-        norm_hess_p_pow=hess_pow,
-        err_u=u_err,
-        err_lap=lap_err,
-        err_hess=hess_err,
-    )
+    d = tf.cutoff.delta
+    transitions = tf.green.inverse_many(tf.k + np.asarray([0.5 * d, d, 1.0 - d, 1.0 - 0.5 * d]))
+    knots = profile.knots_in(tf.r_lo, tf.r_hi)
+    columns = integrate(
+        integrand,
+        tf.r_lo,
+        tf.r_hi,
+        breakpoints=np.concatenate([transitions, knots]),
+        spec=spec,
+        slivers=profile.blend_spans_in(tf.r_lo, tf.r_hi),
+    ).columns
+    # fields in order: p, k, the u, Laplacian and Hessian masses, their errors
+    return NormsReport(p, tf.k, *(gamma * v for v, _ in columns), *(gamma * e for _, e in columns))
+
+
+def _blend_power(a_l, a_r, x_m, lo, hi, scale: float, p: float, spec: QuadratureSpec):
+    """J: the integral of |sigma'/scale|^p over [lo, hi] on a corner blend, in x = (t - t0)/W.
+
+    The blend mixes lines of slopes a_l and a_r that meet at x_m, so
+    sigma' = a_l + (a_r - a_l)(s(x) + s'(x)(x - x_m)) whatever W is.
+    """
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        s, ds, _ = _smoothstep(x)
+        return np.abs((a_l + (a_r - a_l) * (s + ds * (x - x_m))) / scale) ** p
+
+    return integrate(integrand, lo, hi, spec=spec)
+
+
+def _slope_mass(profile, z0: float, z1: float, p: float, spec: QuadratureSpec):
+    """(mass, err, scale): the integral of |sigma'/scale|^p dt over [z0, z1], from the rows.
+
+    scale is the largest LINEAR |slope| there.  A LINEAR row of slope a adds
+    its width inside [z0, z1] times |a/scale|^p; a BLEND row, between two
+    LINEAR rows, its width W times its J (_blend_power) over its part
+    [lo, hi] of [0, 1] inside [z0, z1], with x_m read off the neighbours'
+    params: 1/2 up to their rounding, up to 0.4% of W off for m >= 3.  One J
+    serves each distinct (a_l, a_r, x_m, lo, hi).  err adds, per blend, W
+    times J's error plus x_m's error, at most 2^-51 (S / |(a_r - a_l) W| + 1)
+    with S the sum of its three terms' magnitudes, times
+    2 p |a_r - a_l| J^(1 - 1/p) / scale >= |dJ/dx_m| (s' <= 2, and Hoelder);
+    then (p + 4) ulp(mass) for rounding the ratios, powers, products and sum.
+    """
+    t0, t1, (t_ref, y_ref, slope) = profile.piece_t0, profile.piece_t1, profile.piece_params.T
+    i0, i1 = np.searchsorted(t1, z0, side="right"), np.searchsorted(t0, z1)
+    linear = profile.piece_kinds[i0:i1] == LINEAR
+    rows, b = np.flatnonzero(linear) + i0, np.flatnonzero(~linear) + i0
+    scale = float(np.max(np.abs(slope[rows])))
+    linear_terms = np.minimum(t1[rows], z1) - np.maximum(t0[rows], z0)
+    linear_terms *= np.abs(slope[rows] / scale) ** p
+
+    start, width, a_l, a_r = t0[b], t1[b] - t0[b], slope[b - 1], slope[b + 1]
+    # the right line minus the left one at the blend's start, in three terms
+    gap = (y_ref[b + 1] - y_ref[b - 1], a_r * (start - t_ref[b + 1]), a_l * (t_ref[b - 1] - start))
+    da_w = (a_r - a_l) * width
+    x_m = -(gap[0] + gap[1] + gap[2]) / da_w
+    x_m_err = 2.0**-51 * ((abs(gap[0]) + abs(gap[1]) + abs(gap[2])) / abs(da_w) + 1.0)
+    lo, hi = (np.maximum(start, z0) - start) / width, (np.minimum(t1[b], z1) - start) / width
+    keys = (a_l, a_r, x_m, lo, hi)
+    blend_mass, blend_err = np.empty(b.size), np.empty(b.size)
+    free = np.ones(b.size, dtype=bool)
+    while free.any():
+        i = int(np.argmax(free))
+        same = free.copy()
+        for key in keys:
+            same &= key == key[i]
+        free &= ~same
+        j, j_err = _blend_power(*(key[i] for key in keys), scale, p, spec)
+        dj_dx = 2.0 * p * abs((a_r[i] - a_l[i]) / scale) * j ** (1.0 - 1.0 / p)
+        blend_mass[same] = width[same] * j
+        blend_err[same] = width[same] * (j_err + x_m_err[same] * dj_dx)
+    mass = _fsum([linear_terms, blend_mass])
+    return mass, float(np.sum(blend_err)) + (p + 4.0) * math.ulp(mass), scale
 
 
 def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundAudit:
@@ -254,6 +264,12 @@ def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundA
       m = 2   n (step - 2 w_s) (2n-1)^p
       m >= 3  (eta - 4 l w_s) (amplitude/step)^p
 
+    The slope mass is closed form on the rows (_slope_mass): |a|^p times
+    each LINEAR row's width, plus each corner BLEND's width times a J over
+    its blend coordinate.  Mass, error and floor are in units of scale^p, so
+    neither overflows while their ratio is representable; the entry is
+    (floor - (mass - err)) / floor, and -inf if the floor underflows.
+
     I_u and I_lap are ||u||_p^p / gamma_m and ||Delta u||_p^p / gamma_m; in
     the Green coordinate they are the integrals over s in [0, 1] of
     |phi|^p sigma^(2(m-1)) and |phi''|^p sigma^((2-2p)(m-1)).  They are
@@ -266,8 +282,8 @@ def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundA
     report = norms_report(tf, p, spec)
     p = report.p
     k = tf.k
-    m = tf.green.profile.config.m
-    gamma = tf.green.profile.config.gamma_m
+    profile = tf.green.profile
+    m, gamma = profile.config.m, profile.config.gamma_m
     audit = BoundAudit()
     iu, iu_err = report.norm_u_p_pow / gamma, report.err_u / gamma
     il, il_err = report.norm_lap_p_pow / gamma, report.err_lap / gamma
@@ -280,34 +296,18 @@ def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundA
         excess = math.expm1(math.log(il + il_err) - log_bound)
     audit.add("laplacian_mass_upper", excess, k, 0.0)
 
-    profile = tf.green.profile
     for window in profile.windows:
         z0, z1 = window.z, window.z + window.width
         if not (tf.r_lo <= z0 and z1 <= tf.r_hi):
             continue
-
-        def slope_mass(t: np.ndarray) -> np.ndarray:
-            return np.abs(profile.eval_many(t)[1]) ** p
-
-        mass, mass_err = integrate(
-            slope_mass,
-            z0,
-            z1,
-            breakpoints=profile.knots_in(z0, z1),
-            spec=spec,
-            slivers=profile.blend_spans_in(z0, z1),
-        )
-        n = window.n_teeth
-        ws = window.smooth_halfwidth
+        mass, mass_err, scale = _slope_mass(profile, z0, z1, p, spec)
+        n, ws = window.n_teeth, window.smooth_halfwidth
         if m == 2:
-            floor = n * (window.step - 2.0 * ws) * (2.0 * n - 1.0) ** p
+            floor = n * (window.step - 2.0 * ws) * ((2.0 * n - 1.0) / scale) ** p
         else:
-            slope = window.amplitude / window.step
-            floor = (window.width - 4.0 * n * ws) * slope**p
-        audit.add(
-            f"tooth_mass_lower[z={window.z!r}]",
-            (floor - (mass - mass_err)) / floor,
-            window.z,
-            0.0,
-        )
+            floor = (window.width - 4.0 * n * ws) * (window.amplitude / window.step / scale) ** p
+        low = mass - mass_err
+        # as IEEE division by a floor just above the underflow would say
+        excess = (floor - low) / floor if floor else (-math.inf if low > 0.0 else math.inf)
+        audit.add(f"tooth_mass_lower[z={window.z!r}]", excess, window.z, 0.0)
     return audit

@@ -346,9 +346,11 @@ def test_quadrature_blowup_exits_four(capsys):
 
 
 def test_overflowing_integrand_exits_four(capsys):
-    # the tooth-mass floor's |sigma'|^400 overflows a float: the audit names
-    # the panel at once, and numpy's overflow warnings stay off stderr
-    rc = main(["audit", "--m", "2", "--p", "400", "--k", "3", "--n", "4"])
+    # the tooth-mass floor's blend integrand |sigma'/scale|^5000 overflows a
+    # float (|sigma'| reaches 1.36 times the largest tooth slope on a blend):
+    # the audit names the panel at once, and numpy's overflow warnings stay
+    # off stderr
+    rc = main(["audit", "--m", "2", "--p", "5000", "--k", "3", "--n", "4"])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -16,12 +16,14 @@ from czwarp.norms import (
     CutoffFunction,
     NormsReport,
     TestFunction,
+    _blend_power,
+    _slope_mass,
     audit_norm_chain,
     norms_report,
-    volume_integral,
 )
 from czwarp.quadrature import QuadratureSpec, integrate
 from czwarp.warping import (
+    BLEND,
     LINEAR,
     POWER,
     ManifoldConfig,
@@ -151,15 +153,20 @@ def test_testfunction_validation():
 
 
 def test_volume_integral_closed_forms():
-    # 2*pi * int_1^2 t dt = 3*pi for the flat profile
+    # gamma_m times the integral of sigma^(m-1): 2*pi * int_1^2 t dt = 3*pi
+    # for the flat profile
     cfg = ManifoldConfig.from_dimension(2)
     flat = WarpingProfile(cfg, [POWER], [0.0], [(0.0, 0.0, 0.0)])
-    val, err = volume_integral(flat, lambda r: np.ones_like(r), 1.0, 2.0, SPEC)
+    val, err = integrate(lambda r: flat.eval_many(r)[0], 1.0, 2.0, spec=SPEC)
+    val, err = cfg.gamma_m * val, cfg.gamma_m * err
     assert abs(val - 3.0 * math.pi) <= 1e-12 * 3.0 * math.pi
     assert err <= 1e-10
     # 4*pi * int_1^3 (t + 1/2) dt = 20*pi for the m = 3 base profile
     base3 = build_base_profile(ManifoldConfig.from_dimension(3))
-    val, err = volume_integral(base3, lambda r: np.ones_like(r), 1.0, 3.0, SPEC)
+    val, _ = integrate(
+        lambda r: base3.eval_many(r)[0] ** 2, 1.0, 3.0, base3.knots_in(1.0, 3.0), SPEC
+    )
+    val *= base3.config.gamma_m
     assert abs(val - 20.0 * math.pi) <= 1e-12 * 20.0 * math.pi
 
 
@@ -196,33 +203,54 @@ def test_i_u_sandwich_closed_form():
 
 @pytest.mark.parametrize("route", ["norms_report", "audit_norm_chain"])
 def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
-    # each integrand evaluates sigma once per quadrature node and forms every
-    # column from it: norms_report and the chain's u and Laplacian masses hand
-    # it to the volume weight, the chain's tooth-mass floor takes sigma' from
-    # the same evaluation.  sigma is counted at _eval_rows, the entry every
-    # sigma evaluation goes through; the norms integrands take their rows
-    # from the Green table's lookup and never call eval_many
+    # the norms pass evaluates sigma once per quadrature node and forms every
+    # column from it, handing it to the volume weight.  sigma is counted at
+    # _eval_rows, the entry every sigma evaluation goes through; the norms
+    # integrand takes its rows from the Green table's lookup and never calls
+    # eval_many.  The chain reads its masses from that pass, and its
+    # tooth-mass floor reads slopes off the row table: its blend integrands
+    # evaluate no sigma, so nodes and sigma are counted inside norms_report
+    # only, and nothing outside it may evaluate sigma at all
     tf = sawtooth_tf(2, 2.0, 8)
-    counts = {"sigma": 0, "integrand": 0}
+    counts = {"sigma": 0, "integrand": 0, "sigma_outside": 0, "eval_many_outside": 0}
+    inside = []  # non-empty while norms_report runs
     eval_rows = WarpingProfile._eval_rows
+    eval_many = WarpingProfile.eval_many
     integrate = norms_module.integrate
+    report = norms_module.norms_report
 
     def counting_eval_rows(self, rows, t):
-        counts["sigma"] += np.size(t)
+        counts["sigma" if inside else "sigma_outside"] += np.size(t)
         return eval_rows(self, rows, t)
+
+    def counting_eval_many(self, t):
+        if not inside:
+            counts["eval_many_outside"] += 1
+        return eval_many(self, t)
 
     def counting_integrate(f, *args, **kwargs):
         def counted(x):
-            counts["integrand"] += np.size(x)
+            if inside:
+                counts["integrand"] += np.size(x)
             return f(x)
 
         return integrate(counted, *args, **kwargs)
 
+    def tracked_report(*args):
+        inside.append(True)
+        try:
+            return report(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(WarpingProfile, "_eval_rows", counting_eval_rows)
+    monkeypatch.setattr(WarpingProfile, "eval_many", counting_eval_many)
     monkeypatch.setattr(norms_module, "integrate", counting_integrate)
+    monkeypatch.setattr(norms_module, "norms_report", tracked_report)
     getattr(norms_module, route)(tf, 2.0, SPEC)
     assert counts["integrand"] > 0
     assert counts["sigma"] == counts["integrand"]
+    assert counts["sigma_outside"] == counts["eval_many_outside"] == 0
 
 
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])
@@ -281,6 +309,75 @@ def test_plateau_hessian_mass_matches_high_precision_reference(m: int, n: int):
                 ref = (m * (m - 1)) ** (mpmath.mpf(p) / 2) * abs(a) ** p
                 ref *= (l1**q1 - l0**q1) / (q1 * a)
                 assert abs(value - ref) <= err, (p, i)
+
+
+# (a_l, a_r, scale): the m = 2 valley corner of an n = 4 window, between
+# the fall -(2n - 1) and the rise 2n + 1, and the m >= 3 valley, -a to a,
+# in units of a
+@pytest.mark.parametrize("a_l,a_r,scale", [(-7.0, 9.0, 9.0), (-1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("p", [2.0, 20.0])
+def test_blend_power_matches_high_precision_reference(
+    a_l: float, a_r: float, scale: float, p: float
+):
+    # J over the whole blend and over its right half (the half-blend at a
+    # window's start) against a 30-digit model of sigma' on the blend,
+    # s = B(x) / (B(x) + B(1 - x)) with B(x) = exp(-1/x), lines meeting at 1/2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        half = mpmath.mpf(1) / 2
+
+        def slope_pow(x):
+            b, b1 = mpmath.exp(-1 / x), mpmath.exp(-1 / (1 - x))
+            s = b / (b + b1)
+            ds = b * b1 * (1 / x**2 + 1 / (1 - x) ** 2) / (b + b1) ** 2
+            return abs((a_l + (a_r - a_l) * (s + ds * (x - half))) / scale) ** int(p)
+
+        left, right = mpmath.quad(slope_pow, [0, half]), mpmath.quad(slope_pow, [half, 1])
+    for lo, ref in ((0.0, left + right), (0.5, right)):
+        j, j_err = _blend_power(a_l, a_r, 0.5, lo, 1.0, scale, p, SPEC)
+        assert abs(j - ref) <= j_err, (lo, j, float(ref), j_err)
+
+
+@pytest.mark.parametrize("p", [2.0, 20.0])
+def test_slope_mass_follows_an_off_centre_corner(p: float):
+    # slope 1 into slope -1 through a blend of width 0.1 on [1, 1.1], the
+    # lines meeting at 1.06, off the blend's centre 1.05: the closed form
+    # must track where the lines meet, against a quadrature of eval_many's
+    # sigma', whose rounding is negligible on a blend this wide
+    cfg = ManifoldConfig.from_dimension(2)
+    params = [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.06, 1.06, -1.0)]
+    prof = WarpingProfile(cfg, [LINEAR, BLEND, LINEAR], [0.0, 1.0, 1.1], params)
+    mass, err, scale = _slope_mass(prof, 0.5, 1.5, p, SPEC)
+    ref, ref_err = integrate(
+        lambda t: np.abs(prof.eval_many(t)[1]) ** p, 0.5, 1.5, prof.knots_in(0.5, 1.5), SPEC
+    )
+    assert scale == 1.0
+    assert abs(mass - ref) <= err + ref_err
+
+
+# each cell failed tooth_mass_lower on a correct construction while the
+# floor integrated |sigma'|^p with its corner blends accepted unrefined: the
+# entry read +2.4e-7, +8.5e-5, +3.2e6 and +5.0e15 for the first four, the
+# integrand overflowed at p = 400, and (4, 4, 4096, 32) read +5.7e-2
+@pytest.mark.parametrize(
+    "m,k,n,p",
+    [(3, 3.0, 64, 20.0), (3, 3.0, 64, 32.0), (2, 3.0, 4, 65.0), (2, 3.0, 4, 100.0),
+     (2, 3.0, 4, 400.0), (4, 4.0, 4096, 32.0)],
+)
+def test_chain_passes_where_the_floor_false_alarmed(m: int, k: float, n: int, p: float):
+    audit = audit_norm_chain(sawtooth_tf(m, k, n), p, SPEC)
+    assert audit.overall_pass, audit.failures()
+    assert all(math.isfinite(e.worst_violation) for e in audit.entries)
+
+
+def test_chain_floor_that_underflows_reads_minus_inf():
+    # at n = 1 the m = 2 floor in units of the rise slope 3 is
+    # (1/3)^700 (step - 2 w), below the smallest float, while the slope mass
+    # in those units is about the rise row's width: the entry is the limit
+    # of (floor - mass) / floor, not a division by zero
+    audit = audit_norm_chain(sawtooth_tf(2, 3.0, 1), 700.0, SPEC)
+    (floor,) = [e for e in audit.entries if e.name.startswith("tooth_mass_lower")]
+    assert floor.worst_violation == -math.inf and floor.passed
 
 
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])
@@ -362,9 +459,16 @@ def test_norms_report_fields():
     tf = sawtooth_tf(2, 2.0, 4)
     rep = norms_report(tf, 2.0, SPEC)
     # the u column against the plain knot-aware volume integral of u^2
-    u, ue = volume_integral(
-        tf.green.profile, lambda r: tf._fields(r)[0] ** 2, tf.r_lo, tf.r_hi, SPEC
+    prof = tf.green.profile
+    u, ue = integrate(
+        lambda r: tf._fields(r)[0] ** 2 * prof.eval_many(r)[0],
+        tf.r_lo,
+        tf.r_hi,
+        breakpoints=prof.knots_in(tf.r_lo, tf.r_hi),
+        spec=SPEC,
+        slivers=prof.blend_spans_in(tf.r_lo, tf.r_hi),
     )
+    u, ue = prof.config.gamma_m * u, prof.config.gamma_m * ue
     assert abs(rep.norm_u_p_pow - u) <= rep.err_u + ue + 1e-12 * u
     assert rep.quad_err == max(rep.err_u, rep.err_lap, rep.err_hess)
     assert rep.p == 2.0 and rep.k == 2.0
