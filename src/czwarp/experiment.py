@@ -6,8 +6,8 @@ compares the inequality sides.  search_min_n doubles the tooth count until the
 Hessian side wins, then closes the bracket around the crossing with probes
 placed by the ratio's linear law in n^p (lhs ~ A + B n^p, rhs ~ constant) and
 certified at n* - 1 and n*.  sweep runs a grid of cells one after another,
-builds and audits each construction once for all the p values that share it,
-and assembles rows in grid order so the CSV is reproducible byte for byte.
+builds, audits and integrates each construction once for all the p that share
+it, and assembles rows in grid order so the CSV is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -169,23 +169,27 @@ def _audited_construction(cfg: ExperimentConfig) -> Construction:
 
 
 def run_experiment(
-    cfg: ExperimentConfig, construction: Construction | None = None
+    cfg: ExperimentConfig,
+    construction: Construction | None = None,
+    norms: NormsReport | None = None,
 ) -> CZReport:
     """Build, audit and measure one configuration.
 
     construction, if given, is an audited construction of a cell that
     differs from cfg at most in p, C1, C2 or quad; it is used instead of a
-    fresh build, and the report gets its own copy of the audit.
+    fresh build, and the report gets its own copy of the audit.  norms, if
+    given, is used instead of a norms pass on it; its p and k must be cfg's.
 
     Audit failures do not raise: the report comes back flagged with
     violated forced to False so a broken construction can never claim a
     counterexample.
     """
+    if norms is not None and (norms.p != cfg.p or norms.k != cfg.k):
+        raise ValueError(f"norms for p = {norms.p!r}, k = {norms.k!r} given to cell {cfg!r}")
     (h, window, green, _), shared = construction or _audited_construction(cfg)
     audit = BoundAudit(list(shared.entries))
-
-    tf = TestFunction(cfg.k, CutoffFunction(), green)
-    norms = norms_report(tf, cfg.p, cfg.quad)
+    if norms is None:
+        (norms,) = norms_report(TestFunction(cfg.k, CutoffFunction(), green), (cfg.p,), cfg.quad)
     lhs = norms.norm_hess_p_pow
     rhs = cfg.C1 * norms.norm_lap_p_pow + cfg.C2 * norms.norm_u_p_pow
     ratio = lhs / rhs if rhs > 0.0 else math.inf
@@ -326,15 +330,20 @@ def _error_row(cfg: ExperimentConfig, exc: Exception) -> SweepRow:
 
 
 def _run_group(cfgs: list[ExperimentConfig]) -> list[SweepRow]:
-    """Cells sharing (m, k, n): one audited build, then each cell's norms."""
+    """Cells sharing (m, k, n): one audited build and one norms pass for all p."""
     try:
         construction = _audited_construction(cfgs[0])
     except Exception as exc:
         return [_error_row(cfg, exc) for cfg in cfgs]
+    try:
+        tf = TestFunction(cfgs[0].k, CutoffFunction(), construction[0][2])
+        reports = norms_report(tf, tuple(cfg.p for cfg in cfgs), cfgs[0].quad)
+    except Exception:  # each cell reruns its own: same bits, its own error row
+        reports = [None] * len(cfgs)
     rows = []
-    for cfg in cfgs:
+    for cfg, norms in zip(cfgs, reports):
         try:
-            report = run_experiment(cfg, construction=construction)
+            report = run_experiment(cfg, construction=construction, norms=norms)
             rows.append(SweepRow(cfg.m, cfg.p, cfg.k, cfg.n_teeth, report))
         except Exception as exc:
             rows.append(_error_row(cfg, exc))
@@ -351,8 +360,8 @@ def sweep(
 ) -> list[SweepRow]:
     """Run every (m, p, k, n) cell on the calling thread; rows follow grid order.
 
-    Cells that differ only in p share one audited construction: each
-    (m, k, n) group is built once and then measured for every p.
+    Cells that differ only in p share one audited construction and one
+    norms pass: each (m, k, n) group is built and measured once for all p.
 
     workers does nothing.  The cells are small NumPy calls that hold the
     interpreter lock, so a second thread only slowed the sweep down.  The

@@ -10,7 +10,7 @@ Norms use the rotationally invariant weight: ||f||_p^p is gamma_m times the
 integral of |f|^p sigma^(m-1) dr over the support bracket.  One fixed kernel,
 TestFunction._fields, gives u, the collapsed Laplacian, both Hessian
 eigenvalues and sigma per node from one Green lookup.  norms_report
-integrates the three norms as three columns of one quadrature pass, and
+integrates the three norms of each p it is given as columns of one pass, and
 audit_norm_chain bounds the u and Laplacian masses I_u = ||u||_p^p / gamma_m
 and I_lap = ||Delta u||_p^p / gamma_m, which it reads from a norms_report,
 so the chain bounds the very numbers the inequality uses.
@@ -161,22 +161,25 @@ class NormsReport:
         return max(self.err_u, self.err_lap, self.err_hess)
 
 
-def norms_report(tf: TestFunction, p: float, spec: QuadratureSpec) -> NormsReport:
-    """The three norms of the inequality over [Ginv(k), Ginv(k+1)], in one pass.
+def norms_report(tf: TestFunction, ps: tuple, spec: QuadratureSpec) -> tuple[NormsReport, ...]:
+    """The three norms of the inequality over [Ginv(k), Ginv(k+1)] for each p, in one pass.
 
     Each is gamma_m times the integral of |f|^p sigma^(m-1) dr.  The Hessian
-    enters as its frame norm sqrt(u''^2 + (m-1) (sigma' u' / sigma)^2).
+    enters as its frame norm sqrt(u''^2 + (m-1) (sigma' u' / sigma)^2).  One
+    field evaluation per node serves every p; reports match lone passes bit for bit.
     """
-    p = _validate_p(p)
+    ps = tuple(_validate_p(p) for p in ps)
+    if not ps:
+        raise ValueError("ps must hold at least one p")
     profile = tf.green.profile
     m = profile.config.m
     gamma = profile.config.gamma_m
 
     def integrand(r: np.ndarray) -> tuple[np.ndarray, ...]:
         u, lap, radial, tangential, sigma = tf._fields(r)
-        hess = np.sqrt(radial**2 + (m - 1) * tangential**2)
+        fields = (np.abs(u), np.abs(lap), np.sqrt(radial**2 + (m - 1) * tangential**2))
         weight = sigma ** (m - 1)
-        return tuple(np.abs(f) ** p * weight for f in (u, lap, hess))
+        return tuple(f**p * weight for p in ps for f in fields)
 
     d = tf.cutoff.delta
     transitions = tf.green.inverse_many(tf.k + np.asarray([0.5 * d, d, 1.0 - d, 1.0 - 0.5 * d]))
@@ -190,7 +193,10 @@ def norms_report(tf: TestFunction, p: float, spec: QuadratureSpec) -> NormsRepor
         slivers=profile.blend_spans_in(tf.r_lo, tf.r_hi),
     ).columns
     # fields in order: p, k, the u, Laplacian and Hessian masses, their errors
-    return NormsReport(p, tf.k, *(gamma * v for v, _ in columns), *(gamma * e for _, e in columns))
+    return tuple(
+        NormsReport(p, tf.k, *(gamma * v for v, _ in own), *(gamma * e for _, e in own))
+        for p, own in zip(ps, (columns[i : i + 3] for i in range(0, len(columns), 3)))
+    )
 
 
 def _blend_power(a_l, a_r, x_m, lo, hi, scale: float, p: float, spec: QuadratureSpec):
@@ -273,13 +279,13 @@ def audit_norm_chain(tf: TestFunction, p: float, spec: QuadratureSpec) -> BoundA
     I_u and I_lap are ||u||_p^p / gamma_m and ||Delta u||_p^p / gamma_m; in
     the Green coordinate they are the integrals over s in [0, 1] of
     |phi|^p sigma^(2(m-1)) and |phi''|^p sigma^((2-2p)(m-1)).  They are
-    read from one norms_report(tf, p, spec): its u and Laplacian masses and
+    read from one norms_report(tf, (p,), spec): its u and Laplacian masses and
     their errors divided by gamma_m.  Each upper entry is the relative
     excess of mass plus error over its bound.  The Laplacian's is formed in
     logarithms, because sup|phi''|^p overflows a float above p = 81, and
     reads -1 for a zero mass.
     """
-    report = norms_report(tf, p, spec)
+    (report,) = norms_report(tf, (p,), spec)
     p = report.p
     k = tf.k
     profile = tf.green.profile

@@ -169,7 +169,7 @@ def test_criterion_5_scaling_law():
     total_slopes = {}
     min_margin = {}
     for p in (1.5, 2.0, 4.0):
-        reports = [norms_report(tfs[n], p, SPEC) for n in ns]
+        reports = [norms_report(tfs[n], (p,), SPEC)[0] for n in ns]
         values = np.asarray([r.norm_hess_p_pow for r in reports])
         errs = np.asarray([r.err_hess for r in reports])
         increments = values[1:] - values[:-1]

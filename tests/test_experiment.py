@@ -321,9 +321,9 @@ def test_sweep_runs_every_cell_on_the_calling_thread(monkeypatch):
     threads = []
     run = experiment_module.run_experiment
 
-    def recording(cfg, construction=None):
+    def recording(cfg, construction=None, norms=None):
         threads.append(threading.get_ident())
-        return run(cfg, construction)
+        return run(cfg, construction, norms)
 
     monkeypatch.setattr(experiment_module, "run_experiment", recording)
     rows = sweep(replace(BASE, k=2.0), [2, 3], [2.0], [2.0], [1, 2], workers=2)
@@ -383,6 +383,44 @@ def test_sweep_isolates_per_cell_errors():
     assert ok.report is not None and ok.error == ""
     assert bad.report is None
     assert bad.error.startswith("CubeDoesNotFit:")
+
+
+def test_sweep_failing_p_leaves_the_rest_of_its_group(monkeypatch, tmp_path):
+    # |f|^500 overflows, so the group's shared norms pass raises; each cell
+    # then runs its own pass: the p = 2 row keeps the bits of a lone cell
+    # and the p = 500 row records the error a lone cell raises
+    base = replace(BASE, k=2.0, n_teeth=2)
+    with pytest.raises(Exception) as exc:
+        run_experiment(replace(base, p=500.0))
+    want = f"{type(exc.value).__name__}: {exc.value}"
+    alone = SweepRow(2, 2.0, 2.0, 2, run_experiment(replace(base, p=2.0)))
+    passes = []
+    report = experiment_module.norms_report
+
+    def recording(tf, ps, spec):
+        passes.append(ps)
+        return report(tf, ps, spec)
+
+    monkeypatch.setattr(experiment_module, "norms_report", recording)
+    good, bad = sweep(base, [2], [2.0, 500.0], [2.0], [2])
+    assert passes == [(2.0, 500.0), (2.0,), (500.0,)]
+    assert bad.report is None and bad.error == want
+    assert want.startswith("QuadratureNotConverged:") and "integrand is not finite" in want
+    a, b = tmp_path / "group.csv", tmp_path / "alone.csv"
+    write_csv([good], str(a))
+    write_csv([alone], str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_experiment_rejects_another_cells_norms():
+    # a group hands each cell its own report; one with another p or k fails
+    base = replace(BASE, k=2.0, n_teeth=2)
+    construction = experiment_module._audited_construction(base)
+    norms = run_experiment(base, construction).norms
+    assert run_experiment(base, construction, norms).norms is norms
+    for cfg in (replace(base, p=4.0), replace(base, k=3.0)):
+        with pytest.raises(ValueError, match="norms for p"):
+            run_experiment(cfg, construction, norms)
 
 
 def test_csv_shape_and_round_trip(tmp_path):

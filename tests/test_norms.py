@@ -182,7 +182,7 @@ def test_two_route_laplacian_agreement(m: int, k: float, n: int):
 def test_s_route_matches_r_route(m: int, p: float):
     tf = sawtooth_tf(m, 2.0, 8)
     gamma = tf.green.profile.config.gamma_m
-    rep = norms_report(tf, p, SPEC)
+    (rep,) = norms_report(tf, (p,), SPEC)
     (iu, _), (il, _) = s_integrals(tf, p, SPEC)
     for r_val, s_val in ((rep.norm_u_p_pow, iu), (rep.norm_lap_p_pow, il)):
         assert abs(gamma * s_val - r_val) <= 1e-8 * r_val
@@ -247,7 +247,7 @@ def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
     monkeypatch.setattr(WarpingProfile, "eval_many", counting_eval_many)
     monkeypatch.setattr(norms_module, "integrate", counting_integrate)
     monkeypatch.setattr(norms_module, "norms_report", tracked_report)
-    getattr(norms_module, route)(tf, 2.0, SPEC)
+    getattr(norms_module, route)(tf, (2.0,) if route == "norms_report" else 2.0, SPEC)
     assert counts["integrand"] > 0
     assert counts["sigma"] == counts["integrand"]
     assert counts["sigma_outside"] == counts["eval_many_outside"] == 0
@@ -257,7 +257,7 @@ def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
 def test_trace_inequality(m: int, p: float):
     # |Delta u| <= sqrt(m) * frame norm pointwise, so the norms inherit it
     tf = sawtooth_tf(m, 2.0, 8)
-    rep = norms_report(tf, p, SPEC)
+    (rep,) = norms_report(tf, (p,), SPEC)
     lap, hess = rep.norm_lap_p_pow, rep.norm_hess_p_pow
     assert lap <= m ** (p / 2.0) * hess * (1.0 + 1e-9)
 
@@ -266,8 +266,8 @@ def test_hessian_doubling_law():
     # in the tooth-dominated regime the Hessian mass scales like n^p while
     # u and Laplacian masses stay put
     p = 2.0
-    r1 = norms_report(sawtooth_tf(2, 2.0, 2048), p, SPEC)
-    r2 = norms_report(sawtooth_tf(2, 2.0, 4096), p, SPEC)
+    (r1,) = norms_report(sawtooth_tf(2, 2.0, 2048), (p,), SPEC)
+    (r2,) = norms_report(sawtooth_tf(2, 2.0, 4096), (p,), SPEC)
     ratio = r2.norm_hess_p_pow / r1.norm_hess_p_pow
     assert 0.8 * 2.0**p <= ratio <= 1.2 * 2.0**p
     assert abs(r2.norm_u_p_pow / r1.norm_u_p_pow - 1.0) <= 1e-3
@@ -397,7 +397,7 @@ def test_chain_bounds_the_norms_report_masses(m: int, p: float):
     tf = sawtooth_tf(m, 2.0, 8)
     k = tf.k
     gamma = tf.green.profile.config.gamma_m
-    rep = norms_report(tf, p, SPEC)
+    (rep,) = norms_report(tf, (p,), SPEC)
     iu = rep.norm_u_p_pow / gamma + rep.err_u / gamma
     il = rep.norm_lap_p_pow / gamma + rep.err_lap / gamma
     bound_u = 2.0 * math.exp(2.0 * k + 2.0) if m == 2 else 4.0 * math.exp(2.0 * (k + 1.0))
@@ -426,13 +426,13 @@ def test_chain_reads_one_norms_report(monkeypatch):
 
     def scaled_report(*args):
         calls.append(args)
-        rep = norms_report(*args)
-        return replace(rep, norm_u_p_pow=4.0 * rep.norm_u_p_pow, norm_lap_p_pow=0.0, err_lap=0.0)
+        (rep,) = norms_report(*args)
+        return (replace(rep, norm_u_p_pow=4.0 * rep.norm_u_p_pow, norm_lap_p_pow=0.0, err_lap=0.0),)
 
     monkeypatch.setattr(norms_module, "norms_report", scaled_report)
     entries = {e.name: e.worst_violation for e in audit_norm_chain(tf, 2.0, SPEC).entries}
-    assert len(calls) == 1 and calls[0][0] is tf and calls[0][1:] == (2.0, SPEC)
-    rep = norms_report(tf, 2.0, SPEC)
+    assert len(calls) == 1 and calls[0][0] is tf and calls[0][1:] == ((2.0,), SPEC)
+    (rep,) = norms_report(tf, (2.0,), SPEC)
     bound_u = 2.0 * math.exp(2.0 * tf.k + 2.0)
     iu = 4.0 * rep.norm_u_p_pow / gamma + rep.err_u / gamma
     assert entries["u_mass_upper"] == (iu - bound_u) / bound_u
@@ -441,7 +441,7 @@ def test_chain_reads_one_norms_report(monkeypatch):
 
 def test_chain_zero_mass_reads_minus_one(monkeypatch):
     zero = NormsReport(2.0, 2.0, *[0.0] * 6)  # p, k, then three masses and their errors
-    monkeypatch.setattr(norms_module, "norms_report", lambda *args: zero)
+    monkeypatch.setattr(norms_module, "norms_report", lambda *args: (zero,))
     entries = audit_norm_chain(sawtooth_tf(2, 2.0, 8), 2.0, SPEC).entries
     got = {e.name: e.worst_violation for e in entries}
     assert got["u_mass_upper"] == got["laplacian_mass_upper"] == -1.0
@@ -449,15 +449,34 @@ def test_chain_zero_mass_reads_minus_one(monkeypatch):
 
 def test_lp_norm_validation():
     tf = pure_power_tf()
-    for route in (norms_report, audit_norm_chain):
+    for route in (lambda tf, p, spec: norms_report(tf, (p,), spec), audit_norm_chain):
         for p in (1.0, math.inf):
             with pytest.raises(ValueError):
                 route(tf, p, SPEC)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_norms_report_columns_match_lone_passes(monkeypatch, m: int):
+    # one pass for several p gives each p, in order, the report a pass for
+    # that p alone gives, bit for bit
+    tf = sawtooth_tf(m, 3.0, 16)
+    ps = (1.5, 2.0, 4.0)
+    shared = norms_report(tf, ps, SPEC)
+    assert [repr(r) for r in shared] == [repr(norms_report(tf, (p,), SPEC)[0]) for p in ps]
+    # an empty ps or an invalid p anywhere in it raises before any quadrature
+    calls = []
+    monkeypatch.setattr(norms_module, "integrate", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError):
+        norms_report(tf, (), SPEC)
+    for bad in ((1.0, 2.0, 4.0), (1.5, math.inf, 4.0), (1.5, 2.0, 0.5)):
+        with pytest.raises(ValueError, match=r"outside \(1, inf\)"):
+            norms_report(tf, bad, SPEC)
+    assert calls == []
+
+
 def test_norms_report_fields():
     tf = sawtooth_tf(2, 2.0, 4)
-    rep = norms_report(tf, 2.0, SPEC)
+    (rep,) = norms_report(tf, (2.0,), SPEC)
     # the u column against the plain knot-aware volume integral of u^2
     prof = tf.green.profile
     u, ue = integrate(
@@ -510,7 +529,7 @@ def test_golden_numbers(m: int, p: float, n: int):
     _, _, green, _ = build_construction(cfg)
     tf = TestFunction(cfg.k, CutoffFunction(), green)
     norms, errs, i_u, i_lap, chain = GOLDEN[(m, p, n)]
-    rep = norms_report(tf, p, cfg.quad)
+    (rep,) = norms_report(tf, (p,), cfg.quad)
     got = (rep.norm_u_p_pow, rep.norm_lap_p_pow, rep.norm_hess_p_pow)
     assert [repr(x) for x in got] == [repr(x) for x in norms]
     got = (rep.err_u, rep.err_lap, rep.err_hess)
