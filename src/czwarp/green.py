@@ -61,7 +61,7 @@ def _blend_quad(
     """
     em = 1.0 - profile.config.m
     mid = 0.5 * (lo + hi)
-    return (hi - lo) * profile._eval_rows(rows, mid)[0] ** em
+    return (hi - lo) * profile._eval_rows(rows, mid, derivs=1)[0] ** em
 
 
 def _clip_checked(x: np.ndarray, lo: float, hi: float, message: str) -> np.ndarray:
@@ -155,8 +155,11 @@ class GreenFunction:
             arr.flags.writeable = False
 
     def _partial(self, idx: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Integral of sigma^(1-m) from the checkpoint at idx to r, inside interval idx."""
-        return _by_kind(self._kinds[idx], 1, self._partial_of, idx, r)[0]
+        """Integral of sigma^(1-m) from the checkpoint at idx to r, inside interval idx.
+
+        r and idx are shaped as _by_kind takes them.
+        """
+        return _by_kind(self._kinds, 1, self._partial_of, idx, r)[0]
 
     def _partial_of(self, kind: int, idx: np.ndarray, r: np.ndarray) -> tuple[np.ndarray]:
         """_partial on intervals that are all of one kind class."""
@@ -168,7 +171,7 @@ class GreenFunction:
         rows = self._rows[idx]
         if kind == POWER:
             return (np.log((r + params[rows, 0]) / anchor),)
-        tr, yr, a = params[rows].T
+        tr, yr, a = (params[rows, j] for j in range(3))
         l1 = yr + a * (r - tr)
         if m == 2:
             return (np.log(l1 / anchor) / a,)
@@ -199,18 +202,38 @@ class GreenFunction:
         return float(self._g_tab[-1])
 
     def _value_rows(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G at flat radii r, and the profile row that holds each r.
+        """G at radii r, and the profile row that holds each r.
+
+        r is flat, one node per row, or holds nodes in rows, shape (R, c),
+        each row increasing, such as an integrand's panels.  A row is looked
+        up at its first and last node only: the nodes increase and rounding
+        is monotone, so when both name one checkpoint interval, every node
+        between them lies in it too, and the kernel gathers the row's
+        interval, profile row and params once (_by_kind).  A row whose two
+        lookups disagree, on a POWER row with fill checkpoints, is looked up
+        node by node.  g comes back shaped like r; rows is shaped like r, or
+        one per row as an (R, 1) column when no row needed a second look.
 
         Every knot is a checkpoint, so the table's lookup already names the
         row of each r in [1, r_max); r_max itself, and radii clipped in from
-        just outside, are looked up in the profile again.
+        just outside, are looked up in the profile again, node by node.
         """
         x = _clip_checked(r, 1.0, self.r_max, f"radius {{!r}} outside [1, {self.r_max!r}]")
-        idx = _interval(self._r_tab, x)
+        if x.ndim == 2:
+            ends = _interval(self._r_tab, x[:, [0, -1]])
+            idx = ends[:, :1]
+            split = np.flatnonzero(ends[:, 0] != ends[:, 1])
+            if split.size:
+                idx = np.repeat(idx, x.shape[1], axis=1)
+                idx[split] = _interval(self._r_tab, x[split])
+        else:
+            idx = _interval(self._r_tab, x)
         g = self._g_tab[idx] + self._partial(idx, x)
         rows = self._rows[idx]
         if x is not r or (r.size and r.max() >= self.r_max):
-            edge = np.flatnonzero((r < 1.0) | (r >= self.r_max))
+            edge = (r < 1.0) | (r >= self.r_max)
+            if rows.shape != x.shape:
+                rows = np.repeat(rows, x.shape[1], axis=1)
             rows[edge] = self.profile.piece_index(r[edge])
         return g, rows
 
@@ -232,7 +255,7 @@ class GreenFunction:
             "rebuild with a larger r_max to reach higher levels",
         )
         idx = _interval(self._g_tab, x)
-        r = _by_kind(self._kinds[idx], 1, self._inverse_of, idx, x - self._g_tab[idx])[0]
+        r = _by_kind(self._kinds, 1, self._inverse_of, idx, x - self._g_tab[idx])[0]
         np.clip(r, self._r_tab[idx], self._r_tab[1:][idx], out=r)
         return r.reshape(s.shape)
 

@@ -114,25 +114,28 @@ class TestFunction:
         self.r_hi = green.inverse(self.k + 1.0)
 
     def _fields(self, r: np.ndarray):
-        """(u, Delta u, u'', sigma' u' / sigma, sigma) at r, from one lookup per node.
+        """(u, Delta u, u'', sigma' u' / sigma, sigma) at r, from one lookup per row.
 
         Delta u is the collapsed form phi''(G - k) sigma^(2 - 2m); u'' and
         sigma' u' / sigma are the Hessian's radial and tangential
         eigenvalues, by the chain rule through G' = sigma^(1-m).  sigma is
         evaluated on the profile rows of the Green table's lookup and comes
-        back as the volume weight's base.
+        back as the volume weight's base; sigma'' is never formed.  A 2-D r
+        holds nodes in rows, each row increasing, such as an integrand's
+        panels, and each row is looked up once (GreenFunction._value_rows);
+        any other r is one node per row.
         """
         r = np.asarray(r, dtype=float)
-        flat = np.ravel(r)
-        g, rows = self.green._value_rows(flat)
-        sigma, dsigma, _ = self.green.profile._eval_rows(rows, flat)
-        sigma, dsigma = sigma.reshape(r.shape), dsigma.reshape(r.shape)
-        phi, dphi, d2phi = self.cutoff.eval_many((g - self.k).reshape(r.shape))
+        x = r if r.ndim == 2 else np.ravel(r)
+        g, rows = self.green._value_rows(x)
+        sigma, dsigma = self.green.profile._eval_rows(rows, x, derivs=1)
+        phi, dphi, d2phi = self.cutoff.eval_many(g - self.k)
         m = self.green.profile.config.m
         gp = sigma ** (1 - m)
         du = dphi * gp
         d2u = d2phi * gp**2 + dphi * (1 - m) * sigma ** (-m) * dsigma
-        return phi, d2phi * sigma ** (2 - 2 * m), d2u, dsigma * du / sigma, sigma
+        fields = (phi, d2phi * sigma ** (2 - 2 * m), d2u, dsigma * du / sigma, sigma)
+        return tuple(v.reshape(r.shape) for v in fields)
 
 
 def _validate_p(p: float) -> float:
@@ -207,7 +210,7 @@ def _blend_power(a_l, a_r, x_m, lo, hi, scale: float, p: float, spec: Quadrature
     """
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        s, ds, _ = _smoothstep(x)
+        s, ds = _smoothstep(x, derivs=1)
         return np.abs((a_l + (a_r - a_l) * (s + ds * (x - x_m))) / scale) ** p
 
     return integrate(integrand, lo, hi, spec=spec)

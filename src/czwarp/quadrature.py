@@ -10,12 +10,19 @@ identical inputs give bit-identical results regardless of available
 parallelism.
 
 Integrands must be vectorized: f(x: ndarray) -> ndarray, or a tuple of
-ndarrays for several integrands over the same panels.  Such columns share the
-breakpoints and every integrand call: each pass evaluates, in the same calls,
-the panels that every column still refines at that depth.  Each column keeps
-its own error budget, refinement and sum, and each panel's weighted sums come
-from the same batch of rows as when the column is integrated alone, so each
-column comes out bit-identical to integrating it alone.
+ndarrays for several integrands over the same panels.  x is a C-contiguous
+float64 array of shape (panels, base_order): each row holds one panel's
+nodes, sorted ascending, so an integrand can look up what is constant on a
+panel once per row.  f returns x.size values per column, in x's order and
+in any shape; an elementwise integrand written for flat input works
+unchanged and gives the same bits.
+
+Columns share the breakpoints and every integrand call: each pass
+evaluates, in the same calls, the panels that every column still refines at
+that depth.  Each column keeps its own error budget, refinement and sum, and
+each panel's weighted sums come from the same batch of rows as when the
+column is integrated alone, so each column comes out bit-identical to
+integrating it alone.
 
 A pass is cut into batches of panels, and the rules of each batch into
 integrand calls of bounded size.  When the pass holds more than one batch
@@ -216,10 +223,7 @@ def _panel_pass(
             np.add(x0[:, None], w[:, None] * nodes[None, :], out=pts[r])
         # error state is per thread, so a pool thread enters its own
         with np.errstate(**_QUIET):
-            cols = [
-                np.asarray(v, dtype=float).reshape(pts.shape)
-                for v in _columns(f, pts.reshape(-1))
-            ]
+            cols = [np.asarray(v, dtype=float).reshape(pts.shape) for v in _columns(f, pts)]
             return [
                 [w * (v[r] @ weights) for v in cols[sets[k][2]]]
                 for (k, _, _), (_, w, r) in zip(call, spans)
@@ -283,6 +287,10 @@ def integrate(
     slivers: Iterable[tuple[float, float]] = (),
 ) -> Integral:
     """Integrate f over [a, b] with panels split at the given breakpoints.
+
+    f(x) gets a C-contiguous float64 array of shape (panels,
+    spec.base_order), one panel's nodes per row, sorted ascending, and
+    returns x.size values in x's order, in any shape.
 
     Returns (value, error_estimate).  The estimate is a sum of per-panel
     whole-versus-halves discrepancies and is meant to be conservative for

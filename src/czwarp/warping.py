@@ -119,79 +119,106 @@ class SawtoothWindow:
 _XCUT = 0.01
 
 
-def _smoothstep_inside(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _smoothstep_inside(x: np.ndarray, derivs: int) -> tuple[np.ndarray, ...]:
     """_smoothstep for x strictly inside (_XCUT, 1 - _XCUT).
 
-    The second-derivative terms come first and each temporary is dropped
-    once used, to keep the peak memory of a call low.
+    The second-derivative terms, when asked for, come first, and each
+    temporary is dropped once used, to keep the peak memory of a call low.
     """
     x1 = 1.0 - x
     b = np.exp(-1.0 / x)
     b1 = np.exp(-1.0 / x1)
-    bpp = b * (1.0 - 2.0 * x) / x**4
-    b1pp = b1 * (1.0 - 2.0 * x1) / x1**4
-    dnum = bpp * b1 - b * b1pp
-    del bpp, b1pp
+    if derivs == 2:
+        bpp = b * (1.0 - 2.0 * x) / x**4
+        b1pp = b1 * (1.0 - 2.0 * x1) / x1**4
+        dnum = bpp * b1 - b * b1pp
+        del bpp, b1pp
     bp = b / x**2
     b1p = b1 / x1**2
     num = bp * b1 + b * b1p
-    dden = bp - b1p
-    del bp, b1p, x1
+    del x1
     den = b + b1
+    if derivs == 1:
+        return b / den, num / den**2
+    dden = bp - b1p
+    del bp, b1p
     return b / den, num / den**2, dnum / den**2 - 2.0 * num * dden / den**3
 
 
-def _smoothstep(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C-infinity step on [0, 1] with its first two derivatives in x."""
+def _smoothstep(x: np.ndarray, derivs: int = 2) -> tuple[np.ndarray, ...]:
+    """C-infinity step on [0, 1] with its first derivs (1 or 2) derivatives in x."""
     x = np.asarray(x, dtype=float)
     if x.size and x.min() > _XCUT and x.max() < 1.0 - _XCUT:
-        return _smoothstep_inside(x)
-    s = np.empty_like(x)
-    sp = np.zeros_like(x)
-    spp = np.zeros_like(x)
+        return _smoothstep_inside(x, derivs)
+    outs = (np.empty_like(x), *(np.zeros_like(x) for _ in range(derivs)))
     lo = x <= _XCUT
     hi = x >= 1.0 - _XCUT
-    s[lo] = 0.0
-    s[hi] = 1.0
+    outs[0][lo] = 0.0
+    outs[0][hi] = 1.0
     mid = ~(lo | hi)
     if np.any(mid):
-        s[mid], sp[mid], spp[mid] = _smoothstep_inside(x[mid])
-    return s, sp, spp
+        for out, v in zip(outs, _smoothstep_inside(x[mid], derivs)):
+            out[mid] = v
+    return outs
 
 
-# most elements one kernel pass holds.  An integrand call of the usual
-# rules (2048 panels of 8 or 16 nodes) and its blend nodes' neighbour pair
-# stay whole; longer inputs, such as the strip audit and the Green table
-# build over every knot, run a block at a time, so their temporaries do
-# not grow with the number of pieces
+# most rows of nodes one kernel pass holds.  A row is one quadrature panel
+# of an integrand call, or one node of a flat input.  An integrand call
+# (at most 2048 panels) and its blend rows' neighbour pair stay whole;
+# longer flat inputs, such as the strip audit and the Green table build
+# over every knot, run a block at a time, so their temporaries do not grow
+# with the number of pieces
 _BLOCK = 1 << 16
 
 
-def _by_kind(kinds: np.ndarray, width: int, fn, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fn(kind, *arrays) run once per kind present, on that kind's elements.
+def _by_kind(
+    kinds: np.ndarray, width: int, fn, idx: np.ndarray, x: np.ndarray, *args
+) -> tuple[np.ndarray, ...]:
+    """fn(kind, idx, x, *args) run once per kind of kinds[idx] present, on the rows of that kind.
 
-    kinds and arrays are flat and equally long; fn returns width float
-    arrays shaped like its inputs, which are put back in place.  When one
-    kind covers every element, fn gets the arrays as they are and its
-    result is returned without a gather or a scatter; an empty input counts
-    as POWER.  Inputs longer than _BLOCK run a block at a time.
+    x is flat, one node per row, or holds nodes in rows, shape (R, c), each
+    row increasing.  idx names the table row (of kinds and of the caller's
+    other columns) that holds each node: shaped like x, or for rows of
+    nodes one per row as an (R, 1) column.  Table rows increase with the
+    node, so a row of x whose first and last nodes share a table row lies
+    wholly inside it.  fn gets such rows with their index as an (R', 1)
+    column, so it gathers each row's operands once and broadcasts them over
+    the row's nodes; every other row runs flat, one node per row.  fn
+    returns width arrays shaped like its x, which are put back in place.
+    When one kind covers every row, fn's result is returned without a
+    gather or a scatter; an empty input counts as POWER.  Inputs of more
+    than _BLOCK rows run a block at a time.
     """
-    first = int(kinds[0]) if kinds.size else POWER
-    if kinds.size <= _BLOCK and np.all(kinds == first):
-        return fn(first, *arrays)
+    if idx.ndim == 2 and idx.shape[1] > 1:
+        split = idx[:, 0] != idx[:, -1]
+        if np.any(split):
+            whole = ~split
+            outs = tuple(np.empty(x.shape) for _ in range(width))
+            for sel, i, v in (
+                (whole, idx[whole, :1], x[whole]),
+                (split, idx[split].reshape(-1), x[split].reshape(-1)),
+            ):
+                for out, part in zip(outs, _by_kind(kinds, width, fn, i, v, *args)):
+                    out[sel] = part.reshape(-1, x.shape[1])
+            return outs
+        idx = idx[:, :1]
+    row_kinds = kinds[idx].reshape(-1)
+    first = int(row_kinds[0]) if row_kinds.size else POWER
+    if row_kinds.size <= _BLOCK and np.all(row_kinds == first):
+        return fn(first, idx, x, *args)
     # the outputs are allocated before any part is computed; allocated
     # after the first part, they left the heap fragmented and raised the
     # peak RSS of a 2^15 cell
-    outs = tuple(np.empty(kinds.shape) for _ in range(width))
-    if kinds.size > _BLOCK:
-        for i in range(0, kinds.size, _BLOCK):
+    outs = tuple(np.empty(x.shape) for _ in range(width))
+    if row_kinds.size > _BLOCK:
+        for i in range(0, row_kinds.size, _BLOCK):
             sl = slice(i, i + _BLOCK)
-            for out, v in zip(outs, _by_kind(kinds[sl], width, fn, *(a[sl] for a in arrays))):
+            for out, v in zip(outs, _by_kind(kinds, width, fn, idx[sl], x[sl], *args)):
                 out[sl] = v
         return outs
-    for kind in np.flatnonzero(np.bincount(kinds)):
-        sel = np.flatnonzero(kinds == kind)
-        for out, v in zip(outs, fn(int(kind), *(a[sel] for a in arrays))):
+    for kind in np.flatnonzero(np.bincount(row_kinds)):
+        sel = np.flatnonzero(row_kinds == kind)
+        for out, v in zip(outs, fn(int(kind), idx[sel], x[sel], *args)):
             out[sel] = v
     return outs
 
@@ -283,38 +310,39 @@ class WarpingProfile:
         return np.clip(idx, 0, self.piece_t0.size - 1)
 
     def _piece(
-        self, kind: int, rows: np.ndarray, t: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sigma, sigma', sigma'') at t of piece rows that are all of one kind."""
+        self, kind: int, rows: np.ndarray, t: np.ndarray, derivs: int
+    ) -> tuple[np.ndarray, ...]:
+        """sigma and its first derivs derivatives at t, on piece rows all of one kind.
+
+        rows and t are as _by_kind hands them over: flat, or an (R, 1)
+        column of piece rows whose params are gathered once and broadcast
+        over the row's nodes in t.
+        """
         if kind == BLEND:
-            return self._blend(rows, t)
+            return self._blend(rows, t, derivs)
         alpha = self.config.alpha
         params = self.piece_params
         if kind == POWER:
             u = t + params[rows, 0]
-            return (
-                u**alpha,
-                alpha * u ** (alpha - 1.0),
-                alpha * (alpha - 1.0) * u ** (alpha - 2.0),
-            )
+            out = (u**alpha, alpha * u ** (alpha - 1.0))
+            return out if derivs == 1 else (*out, alpha * (alpha - 1.0) * u ** (alpha - 2.0))
         if kind == LINEAR:
             # p1 + p2 (t - p0), built in place
             slope = params[rows, 2]
             y = t - params[rows, 0]
             y *= slope
             y += params[rows, 1]
-            return y, slope, np.zeros_like(t)
+            out = (y, slope if slope.shape == t.shape else np.broadcast_to(slope, t.shape))
+            return out if derivs == 1 else (*out, np.zeros_like(t))
         p0, p1, p2 = (params[rows, j] for j in range(3))
         t2 = t * t
-        return (
+        out = (
             t + t2 * t * (p0 + t * (p1 + t * p2)),
             1.0 + t2 * (3.0 * p0 + t * (4.0 * p1 + t * 5.0 * p2)),
-            t * (6.0 * p0 + t * (12.0 * p1 + t * 20.0 * p2)),
         )
+        return out if derivs == 1 else (*out, t * (6.0 * p0 + t * (12.0 * p1 + t * 20.0 * p2)))
 
-    def _blend(
-        self, rows: np.ndarray, t: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _blend(self, rows: np.ndarray, t: np.ndarray, derivs: int) -> tuple[np.ndarray, ...]:
         """BLEND rows: both neighbours evaluated in one call, then mixed.
 
         Temporaries are dropped once used, to keep the peak memory of a
@@ -322,33 +350,36 @@ class WarpingProfile:
         """
         t0 = self.piece_t0[rows]
         width = self.piece_t1[rows] - t0
-        s, sp, spp = _smoothstep((t - t0) / width)
+        step = _smoothstep((t - t0) / width, derivs)
+        s = step[0]
         del t0
-        k = rows.size
-        sides = np.empty(2 * k, dtype=rows.dtype)
-        np.subtract(rows, 1, out=sides[:k])
-        np.add(rows, 1, out=sides[k:])
-        both = _by_kind(self.piece_kinds[sides], 3, self._piece, sides, np.concatenate((t, t)))
+        sides = np.concatenate((rows - 1, rows + 1))
+        both = _by_kind(self.piece_kinds, derivs + 1, self._piece, sides, np.concatenate((t, t)), derivs)
         del sides
-        (yl, yr), (dl, dr), (d2l, d2r) = (np.split(v, 2) for v in both)
+        (yl, yr), (dl, dr) = np.split(both[0], 2), np.split(both[1], 2)
         gap = yr - yl
-        slope = sp / width
-        return (
-            yl + s * gap,
-            dl + s * (dr - dl) + slope * gap,
-            d2l + s * (d2r - d2l) + 2.0 * slope * (dr - dl) + (spp / width**2) * gap,
-        )
+        slope = step[1] / width
+        out = (yl + s * gap, dl + s * (dr - dl) + slope * gap)
+        if derivs == 1:
+            return out
+        d2l, d2r = np.split(both[2], 2)
+        return (*out, d2l + s * (d2r - d2l) + 2.0 * slope * (dr - dl) + (step[2] / width**2) * gap)
 
     def _eval_rows(
-        self, rows: np.ndarray, t: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sigma, sigma', sigma'') of piece rows[i] at t[i], for flat rows and t.
+        self, rows: np.ndarray, t: np.ndarray, derivs: int = 2
+    ) -> tuple[np.ndarray, ...]:
+        """sigma and its first derivs (1 or 2) derivatives at t, on the piece rows that hold t.
 
         The kernel behind every sigma evaluation: each piece kind runs once,
-        on its own nodes.  rows must hold each t, as piece_index(t) or a
-        caller's own lookup of the same rows.
+        on its own rows (_by_kind).  t is flat, one node per row, or holds
+        nodes in rows, shape (R, c), each row increasing, such as an
+        integrand's panels.  rows names the piece row of each node, shaped
+        like t, or one per row of a 2-D t as an (R, 1) column: piece_index(t)
+        or a caller's own lookup of the same rows.  Returns arrays shaped
+        like t; for a 2-D t, sigma' on LINEAR rows may be a read-only
+        broadcast of their slopes.
         """
-        return _by_kind(self.piece_kinds[rows], 3, self._piece, rows, t)
+        return _by_kind(self.piece_kinds, derivs + 1, self._piece, rows, t, derivs)
 
     def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sigma, sigma', sigma'') at an array of radii; pure and deterministic."""

@@ -321,3 +321,76 @@ def test_empty_inputs_keep_their_shape():
         assert green.value_many(empty).shape == shape
         assert green.inverse_many(empty).shape == shape
         assert all(v.shape == shape for v in green.profile.eval_many(empty))
+
+
+
+def _panel_cases(green: GreenFunction, seed: int) -> dict[str, np.ndarray]:
+    """(panels, 8) node arrays, one per case the panel-major kernel must cover."""
+    prof = green.profile
+    gauss = np.polynomial.legendre.leggauss(8)[0] * 0.5 + 0.5
+    ends = np.linspace(0.0, 1.0, 8)
+    rng = np.random.default_rng(seed)
+    r_max = green.r_max
+    cps = green._r_tab
+    knots = prof.knots_in(1.0, r_max)
+    edges = np.concatenate([[1.0], knots, [r_max]])
+    fills = np.setdiff1d(cps[1:-1], knots)
+    lo = rng.uniform(1.0, r_max - 1.0, 300)
+    ulp = np.spacing(knots)
+    near = rng.choice(knots, 64)
+
+    def rows(lo, hi, at=gauss):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return lo[:, None] + (hi - lo)[:, None] * at
+
+    return {
+        # every row inside one checkpoint interval
+        "intervals": rows(cps[:-1], cps[1:]),
+        # one panel per knot interval, as integrate() lays them; the POWER
+        # rows' panels straddle fill checkpoints
+        "knot_panels": rows(edges[:-1], edges[1:]),
+        "fill_straddle": rows(fills - 0.01, fills + 0.01),
+        "random": rows(lo, lo + rng.uniform(0.0, 1.0, lo.size)),
+        # nodes on the knots, on r = 1 and on r_max
+        "end_on_knot": rows(edges[:-1], edges[1:], ends),
+        # rows reaching r_max, and clipped into it from just above
+        "r_max": rows(
+            [r_max - 0.5, r_max - 1e-3, r_max * (1.0 - 1e-10)],
+            [r_max, r_max * (1.0 + 5e-10), r_max * (1.0 + 5e-10)],
+            ends,
+        ),
+        # deep refinement: panels a few float spacings wide at a knot
+        "deep": np.concatenate(
+            [
+                rows(knots, knots + 4.0 * ulp),
+                rows(knots - 4.0 * ulp, knots),
+                rows(near - 2.0 * np.spacing(near), near + 2.0 * np.spacing(near)),
+            ]
+        ),
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_panel_rows_match_one_lookup_per_node(m: int):
+    # a (panels, order) input is looked up at each row's two end nodes and
+    # the row's operands are broadcast; G, sigma and sigma' must be the bits
+    # of a flat input, one lookup per node, also on the rows that fall back
+    # to node-by-node lookups: across fill checkpoints, at and clipped into
+    # r_max (a POWER point, and a knot), and a few float spacings wide
+    green = sawtooth_green(m, 3.0, 64)
+    prof = green.profile
+    for table in (green, GreenFunction(prof, r_max=float(prof.knots[-3]))):
+        cases = _panel_cases(table, m)
+        cases["all"] = np.concatenate(list(cases.values()))
+        first, last = (np.searchsorted(table._r_tab, cases["fill_straddle"][:, j]) for j in (0, -1))
+        assert np.all(first != last)
+        assert cases["r_max"].max() > table.r_max
+        for name, x in cases.items():
+            g, rows = table._value_rows(x)
+            sigma, dsigma = prof._eval_rows(rows, x, derivs=1)
+            assert rows.shape == ((len(x), 1) if name == "intervals" else x.shape), name
+            g1, rows1 = table._value_rows(x.ravel())
+            sigma1, dsigma1, _ = prof._eval_rows(rows1, x.ravel())
+            for two_d, flat in ((g, g1), (sigma, sigma1), (dsigma, dsigma1)):
+                assert two_d.shape == x.shape
+                assert np.array_equal(two_d.ravel(), flat), name

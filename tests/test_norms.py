@@ -205,12 +205,13 @@ def test_i_u_sandwich_closed_form():
 def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
     # the norms pass evaluates sigma once per quadrature node and forms every
     # column from it, handing it to the volume weight.  sigma is counted at
-    # _eval_rows, the entry every sigma evaluation goes through; the norms
-    # integrand takes its rows from the Green table's lookup and never calls
-    # eval_many.  The chain reads its masses from that pass, and its
-    # tooth-mass floor reads slopes off the row table: its blend integrands
-    # evaluate no sigma, so nodes and sigma are counted inside norms_report
-    # only, and nothing outside it may evaluate sigma at all
+    # _eval_rows, the entry every sigma evaluation goes through, by the nodes
+    # of its t, flat or one panel per row; the norms integrand takes its rows
+    # from the Green table's lookup and never calls eval_many.  The chain
+    # reads its masses from that pass, and its tooth-mass floor reads slopes
+    # off the row table: its blend integrands evaluate no sigma, so nodes and
+    # sigma are counted inside norms_report only, and nothing outside it may
+    # evaluate sigma at all
     tf = sawtooth_tf(2, 2.0, 8)
     counts = {"sigma": 0, "integrand": 0, "sigma_outside": 0, "eval_many_outside": 0}
     inside = []  # non-empty while norms_report runs
@@ -219,9 +220,9 @@ def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
     integrate = norms_module.integrate
     report = norms_module.norms_report
 
-    def counting_eval_rows(self, rows, t):
+    def counting_eval_rows(self, rows, t, **kwargs):
         counts["sigma" if inside else "sigma_outside"] += np.size(t)
-        return eval_rows(self, rows, t)
+        return eval_rows(self, rows, t, **kwargs)
 
     def counting_eval_many(self, t):
         if not inside:

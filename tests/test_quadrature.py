@@ -101,15 +101,45 @@ def test_deterministic_bit_for_bit():
 
 
 def test_vectorized_integrand_contract():
-    calls = []
-
+    # the integrand gets one panel's nodes per row of a C-contiguous float64
+    # (panels, base_order) array, each row sorted ascending, at every depth
     def f(x):
-        calls.append(x.shape)
-        return x**3
+        calls.append(x.copy())
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        return x**3 + np.abs(x - c) ** 1.5
 
-    value, _ = integrate(f, 0.0, 2.0)
-    assert abs(value - 4.0) <= 1e-12
-    assert all(len(s) == 1 for s in calls)
+    # more panels than one batch, and refinement towards the kink at c
+    c = 1.0 / 3.0
+    breaks = np.linspace(0.0, 2.0, 5000)[1:-1]
+    for order in (8, 16):
+        calls = []
+        spec = QuadratureSpec(base_order=order, rel_tol=1e-12)
+        value, _ = integrate(f, 0.0, 2.0, breaks, spec)
+        assert abs(value - (4.0 + (c**2.5 + (2.0 - c) ** 2.5) / 2.5)) <= 1e-11
+        # halves of bisected panels: a refinement pass ran
+        assert min(np.ptp(x, axis=1).min() for x in calls) < 0.25 * (breaks[1] - breaks[0])
+        for x in calls:
+            assert x.ndim == 2 and x.shape[1] == order
+            assert np.all(np.diff(x, axis=1) > 0.0)
+            assert x.min() > 0.0 and x.max() < 2.0
+
+
+def test_flat_integrand_gives_the_same_bits():
+    # an elementwise integrand written for flat input, which returns its
+    # values flat, integrates to the same bits as one that keeps the rows
+    def rows(x):
+        return np.sin(7.0 * x) / (1.0 + x), np.exp(-x) * x**2.5
+
+    def flat(x):
+        assert x.ndim == 2
+        return rows(np.ravel(x))
+
+    spec = QuadratureSpec(base_order=8, rel_tol=1e-13)
+    breaks = np.linspace(0.0, 3.0, 3000)[1:-1]
+    for args in [(0.0, 3.0), (0.0, 3.0, breaks)]:
+        a = integrate(rows, *args, spec=spec)
+        b = integrate(flat, *args, spec=spec)
+        assert _hex(a) == _hex(b)
 
 
 def test_not_converged_raises_with_diagnostics():

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from czwarp.cli import main
 from czwarp.warping import (
     BLEND,
     CAP,
@@ -267,6 +268,24 @@ def test_eval_purity_and_determinism():
     b = prof.eval_many(ts)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+# sha256 of `czwarp build --m <m> --k 2 --n 1 --samples 40000 --samples-csv`,
+# which writes eval_many's sigma, sigma' and sigma'' at evenly spaced radii
+# from 0 past the window: every piece kind, and at m = 2 the corner blends
+SAMPLES_CSV_SHA256 = {
+    2: "36d7a7b95a20200bb4e439d0ee1f55a59c235dc731ae3c26e0036d5c3e8d7978",
+    3: "9a4a3eb360dfe7526ab9cffaf419bb6278e0bda437d2a538f63115c11859c683",
+}
+
+
+@pytest.mark.parametrize("m", sorted(SAMPLES_CSV_SHA256))
+def test_samples_csv_digest(tmp_path, m: int):
+    csv_path = tmp_path / "samples.csv"
+    argv = ["build", "--m", str(m), "--k", "2", "--n", "1", "--samples", "40000"]
+    argv += ["--samples-csv", str(csv_path), "--emit-profile", str(tmp_path / "profile.json")]
+    assert main(argv) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SAMPLES_CSV_SHA256[m]
 
 
 def test_json_round_trip_bit_exact():
