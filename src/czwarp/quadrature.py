@@ -5,9 +5,8 @@ Integrands here are piecewise analytic with breakpoints known in advance
 between consecutive breakpoints, estimates each panel's error by comparing
 the panel value against the sum of its two halves, and bisects panels whose
 estimate exceeds their share of the tolerance.  Panel values are combined
-with correctly rounded summation, which does not depend on their order, so
-identical inputs give bit-identical results regardless of available
-parallelism.
+with correctly rounded summation, which does not depend on their order or
+on how they are grouped into batches.
 
 Integrands must be vectorized: f(x: ndarray) -> ndarray, or a tuple of
 ndarrays for several integrands over the same panels.  x is a C-contiguous
@@ -25,23 +24,16 @@ column is integrated alone, so each column comes out bit-identical to
 integrating it alone.
 
 A pass is cut into batches of panels, and the rules of each batch into
-integrand calls of bounded size.  When the pass holds more than one batch
-of panels, its calls are evaluated concurrently on a thread pool opened for
-that pass and shut down before it returns, with one worker per CPU at most;
-numpy releases the interpreter lock inside its array loops, so the calls
-overlap.  A call runs the same arithmetic on the same nodes whichever
-thread runs it, so the results do not depend on the worker count.
-Integrands are therefore called from several threads at once and must not
-mutate shared state; an integrand may itself call integrate().
+integrand calls of bounded size, so one call's node and value arrays bound
+the memory a pass holds, and the small panel sets of a refinement pass share
+one call.  The calls run one after another on the calling thread; an
+integrand may itself call integrate().
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -57,8 +49,8 @@ __all__ = [
 ]
 
 # panels per evaluation batch, and the most panels' worth of nodes one
-# integrand call holds; bounds peak memory, which holds about one call's node
-# arrays per worker in flight.  Batches start on multiples of 4, the BLAS gemv
+# integrand call holds; bounds peak memory, which holds one call's node and
+# value arrays at a time.  Batches start on multiples of 4, the BLAS gemv
 # row block, and each batch's weighted sums are one gemv over its own rows, so
 # a panel's weighted sum does not depend on the batch size or on what else
 # shares the call.  numpy sums a single row outside gemv, which may round
@@ -147,14 +139,6 @@ def _columns(f: Callable[[np.ndarray], Columns], x: np.ndarray) -> tuple[np.ndar
     return out if isinstance(out, tuple) else (out,)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: the most batches worth running at once."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _batches(n: int) -> list[slice]:
     """n panels cut into batches of _CHUNK, a lone last panel joined to the one before."""
     stops = [*range(_CHUNK, n, _CHUNK), n]
@@ -184,11 +168,10 @@ def _panel_pass(
 
     Each set is cut into batches and each batch into its three rules; the
     blocks are packed in order into integrand calls of at most _CHUNK
-    panels' nodes, so small sets share one call.  Each block's weighted sums
-    are one gemv over that block's own rows.  A pass of more than one
-    batch's panels runs its calls, three to a task, on a pool opened for
-    this call and closed before it returns; each call's blocks are folded
-    into the result arrays as they arrive, in order.
+    panels' nodes, so small sets share one call.  The calls run in order
+    on the calling thread.  Each block's weighted sums are one gemv over
+    that block's own rows, folded into the result arrays as soon as its
+    call returns.
     """
     nodes, weights = _rule(order)
     blocks = [
@@ -208,7 +191,13 @@ def _panel_pass(
         calls[-1].append(block)
         rows += size
 
-    def run(call: list[_Block]) -> list[list[np.ndarray]]:
+    # per set and selected column: the halves' sum, and the whole-panel rule
+    # until a batch's right half arrives and turns it into the error
+    out: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in sets]
+
+    # one integrand call and its fold; the call's node and value arrays are
+    # freed when it returns, before the next call allocates its own
+    def run(call: list[_Block]) -> None:
         spans = []  # per block: left ends, widths, and its rows of the node array
         start = 0
         for k, sl, rule in call:
@@ -221,45 +210,24 @@ def _panel_pass(
         pts = np.empty((start, order))
         for x0, w, r in spans:
             np.add(x0[:, None], w[:, None] * nodes[None, :], out=pts[r])
-        # error state is per thread, so a pool thread enters its own
-        with np.errstate(**_QUIET):
-            cols = [np.asarray(v, dtype=float).reshape(pts.shape) for v in _columns(f, pts)]
-            return [
-                [w * (v[r] @ weights) for v in cols[sets[k][2]]]
-                for (k, _, _), (_, w, r) in zip(call, spans)
-            ]
+        cols = [np.asarray(v, dtype=float).reshape(pts.shape) for v in _columns(f, pts)]
+        for (k, sl, rule), (_, w, r) in zip(call, spans):
+            block = [w * (v[r] @ weights) for v in cols[sets[k][2]]]
+            if not out[k]:
+                n = sets[k][0].size
+                out[k] = [(np.empty(n), np.empty(n)) for _ in block]
+            for (halves, err), v in zip(out[k], block):
+                if rule == _WHOLE:
+                    err[sl] = v
+                elif rule == _LEFT:
+                    halves[sl] = v
+                else:  # blocks arrive in order: the other two rules are in place
+                    halves[sl] += v
+                    err[sl] = np.abs(err[sl] - halves[sl]) + _NOISE * np.abs(halves[sl])
 
-    # per set and selected column: the halves' sum, and the whole-panel rule
-    # until a batch's right half arrives and turns it into the error
-    out: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in sets]
-    panels = sum(lo.size for lo, _, _ in sets)
-    # a worker takes three calls at a time, a whole batch once batches are
-    # full; handing out single calls measured slower
-    tasks = [calls[i : i + 3] for i in range(0, len(calls), 3)]
-    workers = min(len(tasks), _cpus()) if panels > _CHUNK + 1 else 1
-
-    def run_task(task: list[list[_Block]]) -> list[list[list[np.ndarray]]]:
-        return [run(call) for call in task]
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(np.errstate(**_QUIET))
-        if workers > 1:
-            results = stack.enter_context(ThreadPoolExecutor(workers)).map(run_task, tasks)
-        else:
-            results = map(run_task, tasks)
-        for call, sums in zip(calls, itertools.chain.from_iterable(results)):
-            for (k, sl, rule), block in zip(call, sums):
-                if not out[k]:
-                    n = sets[k][0].size
-                    out[k] = [(np.empty(n), np.empty(n)) for _ in block]
-                for (halves, err), v in zip(out[k], block):
-                    if rule == _WHOLE:
-                        err[sl] = v
-                    elif rule == _LEFT:
-                        halves[sl] = v
-                    else:  # calls arrive in order: the other two rules are in place
-                        halves[sl] += v
-                        err[sl] = np.abs(err[sl] - halves[sl]) + _NOISE * np.abs(halves[sl])
+    with np.errstate(**_QUIET):
+        for call in calls:
+            run(call)
     return out
 
 

@@ -6,12 +6,9 @@ none is produced by the integrator under test.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -309,25 +306,11 @@ def test_batch_size_leaves_panel_sums_unchanged(monkeypatch, panels):
     assert integrate(*args) == default
 
 
-@contextlib.contextmanager
-def _switch_often():
-    # hand the interpreter lock between threads as often as possible, so
-    # batches on a pool interleave at every bytecode
-    before = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(before)
-
-
-def _three_columns(threads):
+def _three_columns(calls):
     # a smooth column, one with an unregistered kink and a near-singular one
-    # that refines; the short sleep keeps a batch busy while the next is handed
-    # out, so a pool of several workers starts more than one thread
+    # that refines; each call records its thread and its panel count
     def f(x):
-        threads.add(threading.get_ident())
-        time.sleep(1e-3)
+        calls.append((threading.get_ident(), x.shape[0]))
         return np.exp(x), np.abs(x - 1.0 / 3.0), 1.0 / np.sqrt(x + 1e-4)
 
     return f
@@ -337,60 +320,42 @@ def _hex(result):
     return [(v.hex(), e.hex()) for v, e in result.columns]
 
 
-def test_bits_do_not_depend_on_worker_count(monkeypatch):
+def test_multi_batch_pass_runs_on_the_calling_thread(monkeypatch):
+    # 45 panels, two of them slivers, first in one batch, then in batches of
+    # 8 over several calls per pass; every call runs on the caller's thread,
+    # none is started, and the bits are those of the one-batch pass
     spec = QuadratureSpec(base_order=8, rel_tol=1e-9)
     kwargs = dict(
         breakpoints=np.linspace(0.0, 1.0, 42)[1:-1],
         spec=spec,
         slivers=[(0.7, 0.7 + 1e-12), (0.2, 0.2 + 1e-13)],
     )
-    caller = threading.get_ident()
     before = set(threading.enumerate())
-    with _switch_often():
-        one_batch = set()
-        reference = _hex(integrate(_three_columns(one_batch), 0.0, 1.0, **kwargs))
-        assert one_batch == {caller}
-        monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
-        for cpus in (1, 8):
-            monkeypatch.setattr("czwarp.quadrature._cpus", lambda: cpus)
-            threads = set()
-            assert _hex(integrate(_three_columns(threads), 0.0, 1.0, **kwargs)) == reference
-            if cpus > 1:
-                assert len(threads - {caller}) > 1
-            else:
-                assert threads == {caller}
-    # every pool is shut down before integrate returns
+    one_batch, batched = [], []
+    reference = _hex(integrate(_three_columns(one_batch), 0.0, 1.0, **kwargs))
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
+    assert _hex(integrate(_three_columns(batched), 0.0, 1.0, **kwargs)) == reference
+    # batched, depth 0 alone takes more than 3 * 45 / 8 calls, and refinement more
+    assert one_batch[0][1] == 3 * 45 and len(one_batch) > 1
+    assert max(rows for _, rows in batched) <= 8 and len(batched) > 3 * 45 // 8
+    assert {thread for thread, _ in one_batch + batched} == {threading.get_ident()}
     assert set(threading.enumerate()) == before
 
 
-def _serial_and_pooled(monkeypatch, call):
-    """call() with 8-panel batches run inline, then on a pool of 8 workers."""
-    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
-    outcomes = []
-    with _switch_often():
-        for cpus in (1, 8):
-            monkeypatch.setattr("czwarp.quadrature._cpus", lambda: cpus)
-            outcomes.append(call())
-    return outcomes
-
-
-def test_pooled_batch_error_matches_serial(monkeypatch):
+def test_batch_error_propagates_from_its_call(monkeypatch):
     # 40 unit panels in 5 batches of 8; the integrand fails only in batch 3
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
+
     def f(x):
         if np.any((x > 16.0) & (x < 24.0)):
             raise ArithmeticError(f"no value past {int(x.min())}")
         return np.cos(x)
 
-    def call():
-        with pytest.raises(ArithmeticError) as info:
-            integrate(f, 0.0, 40.0, breakpoints=range(1, 40))
-        return type(info.value), str(info.value)
-
-    serial, pooled = _serial_and_pooled(monkeypatch, call)
-    assert serial == pooled == (ArithmeticError, "no value past 16")
+    with pytest.raises(ArithmeticError, match="^no value past 16$"):
+        integrate(f, 0.0, 40.0, breakpoints=range(1, 40))
 
 
-def test_pooled_non_convergence_names_the_same_panel(monkeypatch):
+def test_batched_non_convergence_names_the_same_panel(monkeypatch):
     spec = QuadratureSpec(base_order=4, rel_tol=1e-14, max_depth=3)
     bad = lambda x: np.sin(1.0 / np.maximum(x, 1e-300))
 
@@ -399,40 +364,32 @@ def test_pooled_non_convergence_names_the_same_panel(monkeypatch):
             integrate(bad, 1e-6, 1.0, breakpoints=np.geomspace(1e-5, 0.5, 30), spec=spec)
         return info.value.panel, info.value.err, info.value.share
 
-    serial, pooled = _serial_and_pooled(monkeypatch, call)
-    assert serial == pooled
+    one_batch = call()
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
+    assert call() == one_batch
 
 
 def test_non_finite_integrand_raises_for_its_depth_zero_panel(monkeypatch):
     # 40 unit panels in 5 batches of 8; the integrand is inf on [17, 18]
     # alone.  No bisection brings an infinite estimate within its share, so
     # that panel raises at once instead of being bisected to max_depth
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
     spec = QuadratureSpec(max_depth=10)
     f = lambda x: np.where((x > 17.0) & (x < 18.0), np.inf, np.cos(x))
-
-    def call():
-        with pytest.raises(QuadratureNotConverged, match="integrand is not finite") as info:
-            integrate(f, 0.0, 40.0, breakpoints=range(1, 40), spec=spec)
-        return info.value.panel
-
-    serial, pooled = _serial_and_pooled(monkeypatch, call)
-    assert serial == pooled == (17.0, 18.0)
+    with pytest.raises(QuadratureNotConverged, match="integrand is not finite") as info:
+        integrate(f, 0.0, 40.0, breakpoints=range(1, 40), spec=spec)
+    assert info.value.panel == (17.0, 18.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_integrand_warns_on_no_thread(monkeypatch):
-    # exp overflows on [17, 18] alone.  Pool threads do not inherit the
-    # caller's numpy error state, so each call enters its own, and no
-    # thread warns
+    # exp overflows on [17, 18] alone, in batch 3 of 5.  The pass silences
+    # numpy's warnings around all of its calls, so the overflow does not warn
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
     f = lambda x: np.exp(np.where((x > 17.0) & (x < 18.0), 1e3, 0.0)) * np.cos(x)
-
-    def call():
-        with pytest.raises(QuadratureNotConverged, match="integrand is not finite") as info:
-            integrate(f, 0.0, 40.0, breakpoints=range(1, 40))
-        return info.value.panel
-
-    serial, pooled = _serial_and_pooled(monkeypatch, call)
-    assert serial == pooled == (17.0, 18.0)
+    with pytest.raises(QuadratureNotConverged, match="integrand is not finite") as info:
+        integrate(f, 0.0, 40.0, breakpoints=range(1, 40))
+    assert info.value.panel == (17.0, 18.0)
 
 
 def test_integrand_may_call_integrate(monkeypatch):
@@ -441,16 +398,10 @@ def test_integrand_may_call_integrate(monkeypatch):
 
     def call():
         outer = lambda x: x * inner_mass(x)
-        done = {}
-        t = threading.Thread(
-            target=lambda: done.setdefault(
-                "result", integrate(outer, 0.0, 2.0, breakpoints=np.linspace(0.0, 2.0, 20)[1:-1])
-            )
-        )
-        t.start()
-        t.join(timeout=60.0)
-        assert not t.is_alive()
-        return _hex(done["result"])
+        return integrate(outer, 0.0, 2.0, breakpoints=np.linspace(0.0, 2.0, 20)[1:-1])
 
-    serial, pooled = _serial_and_pooled(monkeypatch, call)
-    assert serial == pooled
+    one_batch = call()
+    assert abs(one_batch[0] - 2.0 * (math.e - 1.0)) <= 1e-10
+    # the outer pass takes 8 calls, each with inner passes of its own
+    monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
+    assert _hex(call()) == _hex(one_batch)
