@@ -28,6 +28,7 @@ __all__ = [
     "DELTA_UNIVERSAL",
     "OutOfRange",
     "WindowTooNarrow",
+    "GreenTableNotIncreasing",
     "GreenFunction",
     "find_h",
     "audit_green_bounds",
@@ -84,6 +85,14 @@ def _interval(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index i of the table interval [table[i], table[i+1]) holding each x."""
     idx = np.searchsorted(table, x, side="right") - 1
     return np.clip(idx, 0, table.size - 2, out=idx)
+
+
+class GreenTableNotIncreasing(ValueError):
+    """Cumulative G stops rising between two checkpoints of the table.
+
+    Near the fit limit an interval's increment of G can fall to about the
+    float spacing of G itself, and the running sum no longer grows.
+    """
 
 
 class GreenFunction:
@@ -148,8 +157,14 @@ class GreenFunction:
         seg = self._partial(np.arange(lo.size), hi)
         seg[sel] = blend_seg
         g = np.concatenate([[0.0], np.cumsum(seg)])
-        if np.any(np.diff(g) <= 0.0):
-            raise ValueError("Green table is not strictly increasing")
+        stalls = np.flatnonzero(np.diff(g) <= 0.0)
+        if stalls.size:
+            i = stalls[0]
+            raise GreenTableNotIncreasing(
+                f"Green table is not strictly increasing: G stops rising at r = "
+                f"{float(cps[i])!r} (G = {float(g[i])!r}), before the next checkpoint "
+                f"{float(cps[i + 1])!r}"
+            )
         self._g_tab = g
         for arr in (self._r_tab, self._g_tab, self._rows, self._kinds, self._anchor):
             arr.flags.writeable = False
@@ -201,41 +216,79 @@ class GreenFunction:
     def s_max(self) -> float:
         return float(self._g_tab[-1])
 
-    def _value_rows(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G at radii r, and the profile row that holds each r.
+    def _lookup(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(x, idx, edge): r clipped into [1, r_max], and the checkpoint interval of its rows.
 
         r is flat, one node per row, or holds nodes in rows, shape (R, c),
         each row increasing, such as an integrand's panels.  A row is looked
-        up at its first and last node only: the nodes increase and rounding
-        is monotone, so when both name one checkpoint interval, every node
-        between them lies in it too, and the kernel gathers the row's
-        interval, profile row and params once (_by_kind).  A row whose two
-        lookups disagree, on a POWER row with fill checkpoints, is looked up
-        node by node.  g comes back shaped like r; rows is shaped like r, or
-        one per row as an (R, 1) column when no row needed a second look.
-
-        Every knot is a checkpoint, so the table's lookup already names the
-        row of each r in [1, r_max); r_max itself, and radii clipped in from
-        just outside, are looked up in the profile again, node by node.
+        up at its first node only, and its last node is compared with the
+        next checkpoint: the nodes increase and rounding is monotone, so
+        when the last node lies below it, every node of the row lies in the
+        first node's interval, and idx names it once per row, as an (R, 1)
+        column.  A row that reaches the next checkpoint, on a POWER row with
+        fill checkpoints, is looked up node by node, and idx is then shaped
+        like r.  edge says that some radius is r_max itself or was clipped
+        in from just outside, where the table's interval does not name the
+        profile row that holds it.
         """
         x = _clip_checked(r, 1.0, self.r_max, f"radius {{!r}} outside [1, {self.r_max!r}]")
         if x.ndim == 2:
-            ends = _interval(self._r_tab, x[:, [0, -1]])
-            idx = ends[:, :1]
-            split = np.flatnonzero(ends[:, 0] != ends[:, 1])
+            idx = _interval(self._r_tab, x[:, :1])
+            # the last node shares the first's interval unless it reaches the
+            # next checkpoint; the last interval takes everything up to r_max
+            first = idx[:, 0]
+            split = np.flatnonzero(
+                (x[:, -1] >= self._r_tab[first + 1]) & (first < self._r_tab.size - 2)
+            )
             if split.size:
                 idx = np.repeat(idx, x.shape[1], axis=1)
                 idx[split] = _interval(self._r_tab, x[split])
         else:
             idx = _interval(self._r_tab, x)
+        return x, idx, x is not r or bool(r.size and r.max() >= self.r_max)
+
+    def _value_rows(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G at radii r, and the profile row that holds each r.
+
+        r is as _lookup takes it.  The kernel gathers each row's interval,
+        profile row and params once (_by_kind).  g comes back shaped like
+        r; rows is shaped like r, or one per row as an (R, 1) column when
+        no row needed a second look.
+
+        Every knot is a checkpoint, so the table's lookup already names the
+        row of each r in [1, r_max); r_max itself, and radii clipped in from
+        just outside, are looked up in the profile again, node by node.
+        """
+        x, idx, edge = self._lookup(r)
         g = self._g_tab[idx] + self._partial(idx, x)
         rows = self._rows[idx]
-        if x is not r or (r.size and r.max() >= self.r_max):
-            edge = (r < 1.0) | (r >= self.r_max)
+        if edge:
+            at = (r < 1.0) | (r >= self.r_max)
             if rows.shape != x.shape:
                 rows = np.repeat(rows, x.shape[1], axis=1)
-            rows[edge] = self.profile.piece_index(r[edge])
+            rows[at] = self.profile.piece_index(r[at])
         return g, rows
+
+    def _value_sigma(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G, sigma, sigma') at radii r, shaped like r, from one lookup and one partition.
+
+        r is as _lookup takes it.  The rows are split by kind class once
+        (_by_kind), and each class's part gets G and then sigma and sigma'
+        from WarpingProfile._eval_rows on its own profile rows: a part of
+        one piece kind runs without a second gather.  The bits are those of
+        _value_rows followed by _eval_rows, which is what runs instead when
+        a radius is at an edge (see _lookup).
+        """
+        x, idx, edge = self._lookup(r)
+        if not edge:
+            return _by_kind(self._kinds, 3, self._value_sigma_of, idx, x)
+        g, rows = self._value_rows(r)
+        return (g, *self.profile._eval_rows(rows, r, derivs=1))
+
+    def _value_sigma_of(self, kind: int, idx: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+        """_value_sigma on intervals that are all of one kind class."""
+        g = self._g_tab[idx] + self._partial_of(kind, idx, r)[0]
+        return (g, *self.profile._eval_rows(self._rows[idx], r, derivs=1))
 
     def value_many(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)

@@ -9,7 +9,10 @@ component sigma' u' / sigma.
 Norms use the rotationally invariant weight: ||f||_p^p is gamma_m times the
 integral of |f|^p sigma^(m-1) dr over the support bracket.  One fixed kernel,
 TestFunction._fields, gives u, the collapsed Laplacian, both Hessian
-eigenvalues and sigma per node from one Green lookup.  norms_report
+eigenvalues and sigma per node from one Green lookup, one partition of its
+rows by kind for G and sigma together, and one class per row: a panel
+wholly on the plateau takes phi = s, phi' = 1, phi'' = 0 without the
+cutoff, with the same bits as through it.  norms_report
 integrates the three norms of each p it is given as columns of one pass, and
 audit_norm_chain bounds the u and Laplacian masses I_u = ||u||_p^p / gamma_m
 and I_lap = ||Delta u||_p^p / gamma_m, which it reads from a norms_report,
@@ -42,7 +45,10 @@ class CutoffFunction:
 
     delta is DELTA_UNIVERSAL, the one margin the construction uses: find_h
     and the bracket check place the window inside [k + delta, k + 1 - delta]
-    for that delta alone.
+    for that delta alone.  The four transitions are quadrature breakpoints,
+    so each panel lies in one region; TestFunction._fields calls eval_many
+    only on the rows that are not wholly on the plateau, where w = 1 and
+    phi = s exactly.
     """
 
     def __init__(self):
@@ -118,24 +124,75 @@ class TestFunction:
 
         Delta u is the collapsed form phi''(G - k) sigma^(2 - 2m); u'' and
         sigma' u' / sigma are the Hessian's radial and tangential
-        eigenvalues, by the chain rule through G' = sigma^(1-m).  sigma is
-        evaluated on the profile rows of the Green table's lookup and comes
-        back as the volume weight's base; sigma'' is never formed.  A 2-D r
-        holds nodes in rows, each row increasing, such as an integrand's
-        panels, and each row is looked up once (GreenFunction._value_rows);
-        any other r is one node per row.
+        eigenvalues, by the chain rule through G' = sigma^(1-m).  G, sigma
+        and sigma' come from one lookup and one partition of the rows by
+        kind (GreenFunction._value_sigma), and sigma comes back as the
+        volume weight's base; sigma'' is never formed.  A 2-D r holds nodes
+        in rows, each row increasing, such as an integrand's panels, and
+        each row is looked up once; any other r is one node per row.
+
+        Each row is then classed by s = G - k at every node.  A row wholly
+        on the plateau [delta, 1 - delta] takes phi = s, phi' = 1, phi'' = 0
+        without the cutoff (_plateau_fields); every other row takes
+        CutoffFunction.eval_many (_ramp_fields), whose formulas give a
+        plateau row the same bits.  A call mostly on the plateau gathers
+        its other rows for _ramp_fields and writes their fields over those
+        _plateau_fields gives the whole call; any other call runs
+        _ramp_fields on every row.  A call of one class runs without a
+        gather or a scatter.
         """
         r = np.asarray(r, dtype=float)
         x = r if r.ndim == 2 else np.ravel(r)
-        g, rows = self.green._value_rows(x)
-        sigma, dsigma = self.green.profile._eval_rows(rows, x, derivs=1)
-        phi, dphi, d2phi = self.cutoff.eval_many(g - self.k)
+        s, sigma, dsigma = self.green._value_sigma(x)
+        s -= self.k
+        d = self.cutoff.delta
+        # a row is on the plateau when every node is: both end nodes, and
+        # then, unless the whole call lies there, each row's least and
+        # greatest s, column against column (a reduction along rows of a
+        # few nodes costs several times more)
+        cols = (s if s.ndim == 2 else s[:, None]).T
+        plateau = (cols[0] >= d) & (cols[-1] <= 1.0 - d)
+        if plateau.any() and not (s.min() >= d and s.max() <= 1.0 - d):
+            plateau &= functools.reduce(np.minimum, cols) >= d
+            plateau &= functools.reduce(np.maximum, cols) <= 1.0 - d
+        on = np.count_nonzero(plateau)
+        if on == plateau.size:
+            fields = self._plateau_fields(s, sigma, dsigma)
+        elif 2 * on < plateau.size:
+            # the cutoff's formulas give the plateau rows their bits too, and
+            # cost less than a gather and scatter of the other rows
+            fields = self._ramp_fields(s, sigma, dsigma)
+        else:
+            # the plateau's formulas on every row, then the other rows' own
+            # from a gather of those rows; sigma needs no copy back
+            ramp = np.flatnonzero(~plateau)
+            part = self._ramp_fields(*(v.take(ramp, axis=0) for v in (s, sigma, dsigma)))
+            fields = self._plateau_fields(s, sigma, dsigma)
+            for out, v in zip(fields[:4], part):
+                out[ramp] = v
+        return tuple(v.reshape(r.shape) for v in fields)
+
+    def _ramp_fields(self, s: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray):
+        """_fields from s = G - k, sigma and sigma' through the cutoff, on any rows."""
+        phi, dphi, d2phi = self.cutoff.eval_many(s)
         m = self.green.profile.config.m
         gp = sigma ** (1 - m)
         du = dphi * gp
         d2u = d2phi * gp**2 + dphi * (1 - m) * sigma ** (-m) * dsigma
-        fields = (phi, d2phi * sigma ** (2 - 2 * m), d2u, dsigma * du / sigma, sigma)
-        return tuple(v.reshape(r.shape) for v in fields)
+        return phi, d2phi * sigma ** (2 - 2 * m), d2u, dsigma * du / sigma, sigma
+
+    def _plateau_fields(self, s: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray):
+        """_ramp_fields on rows with s in [delta, 1 - delta] at every node, with the same bits.
+
+        There the cutoff gives phi = s * 1, phi' = 1 + s * 0 and
+        phi'' = 2 * 0 + s * 0, that is s, 1 and +0 exactly, so Delta u is
+        +0, u' is G' and u'' is +0 + (1 - m) sigma^(-m) sigma': adding +0
+        turns a -0 (sigma' = 0) into +0, as the cutoff's formula does.
+        """
+        m = self.green.profile.config.m
+        d2u = (1 - m) * sigma ** (-m) * dsigma
+        d2u += 0.0
+        return s, np.zeros_like(s), d2u, dsigma * sigma ** (1 - m) / sigma, sigma
 
 
 def _validate_p(p: float) -> float:

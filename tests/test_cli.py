@@ -312,6 +312,13 @@ def test_high_level_runs_until_the_cube_does_not_fit(capsys):
     assert capsys.readouterr().err.startswith("error: CubeDoesNotFit: ")
 
 
+@pytest.mark.parametrize("m,k,n", [("6", "14.5", "1"), ("4", "11.0", "4096")])
+def test_green_table_that_stops_rising_exits_one(capsys, m: str, k: str, n: str):
+    assert main(["audit", "--m", m, "--p", "2", "--k", k, "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: GreenTableNotIncreasing: Green table is not strictly increasing")
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
 

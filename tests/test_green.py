@@ -8,9 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import czwarp
+from czwarp.experiment import ExperimentConfig, build_construction
 from czwarp.green import (
     DELTA_UNIVERSAL,
     GreenFunction,
+    GreenTableNotIncreasing,
     OutOfRange,
     WindowTooNarrow,
     audit_green_bounds,
@@ -394,3 +397,22 @@ def test_panel_rows_match_one_lookup_per_node(m: int):
             for two_d, flat in ((g, g1), (sigma, sigma1), (dsigma, dsigma1)):
                 assert two_d.shape == x.shape
                 assert np.array_equal(two_d.ravel(), flat), name
+            # G and sigma from one partition of the rows, 2-D and flat
+            for got, want in (
+                (table._value_sigma(x), (g, sigma, dsigma)),
+                (table._value_sigma(x.ravel()), (g1, sigma1, dsigma1)),
+            ):
+                for v, w in zip(got, want):
+                    assert v.shape == w.shape
+                    assert v.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("m,k,n", [(6, 14.5, 1), (4, 11.0, 4096)])
+def test_green_table_that_stops_rising_is_named(m: int, k: float, n: int):
+    # near the fit limit a blend's increment of G falls to about the float
+    # spacing of G, and the cumulative table stops rising; the build names
+    # the error and the radius where it happens
+    with pytest.raises(GreenTableNotIncreasing, match=r"stops rising at r = \d") as info:
+        build_construction(ExperimentConfig(m=m, p=2.0, k=k, n_teeth=n))
+    assert isinstance(info.value, ValueError)
+    assert czwarp.GreenTableNotIncreasing is GreenTableNotIncreasing

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import replace
 
@@ -541,3 +542,62 @@ def test_golden_numbers(m: int, p: float, n: int):
     entries = {e.name: e.worst_violation for e in audit_norm_chain(tf, p, cfg.quad).entries}
     got = (entries["u_mass_upper"], entries["laplacian_mass_upper"])
     assert [repr(x) for x in got] == [repr(x) for x in chain]
+
+
+# sha256 of the raw bytes of _fields' five outputs, signed zeros included,
+# on every depth-0 node array norms_report's pass hands its integrand
+# (calls of up to 2048 panel rows over the ramps, the plateau and the
+# window), on one call of those calls' rows off the plateau, on one of
+# those rows and three plateau rows, and on one flat call over a stride of
+# every node and the blend midpoints; k = 3.  Recorded before plateau rows
+# skipped the cutoff; any change to the field kernel's arithmetic moves them
+FIELDS_DIGESTS = {
+    (2, 1): "8e50997950c4551eee20abb80eaa3de077a1666d28c9e466e59e97cf8c4b1959",
+    (2, 64): "455a61a50828a42ecde04bd378c4e53af469deeca91e9349fa6969030302fbb8",
+    (2, 4096): "275d071f1281a455b7d63e3333ee6929922be0f571ad6c5e79677786b5144435",
+    (3, 1): "7bd0784b32ecc7886ae7d40a2c1e6b2d99ce918ecbf7c902b0d7af0b7fdd464a",
+    (3, 64): "b95f7bc647b724680435de7d96e87f05a6a795edfc982ee1b91865aafb968671",
+    (3, 4096): "487860ed608c721ecb9632c9fc1c6b12ef0d317aa00217aa53fff7b054eae484",
+    (4, 1): "42864c06b5c377680ecae4b799b25f5ac59d7d6055b1ea9d7441616bf0b89ac8",
+    (4, 64): "b50716f8bea670b0972b1b7213b52ef95dc6e23de30ed6ef1788c65f17a13ae7",
+    (4, 4096): "8ba50505b545a414cdd2e537f1f6f839c729d39982443b3d76fd0a6922ae4909",
+}
+
+
+def fields_digest(tf: TestFunction, spec: QuadratureSpec, monkeypatch) -> str:
+    calls = []
+
+    def recording(f, *args, **kwargs):
+        def zeros(x):
+            calls.append(x)
+            return (np.zeros(x.shape),) * 3
+
+        # a zero integrand settles every panel at depth 0
+        return integrate(zeros, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms_module, "integrate", recording)
+        norms_report(tf, (2.0,), spec)
+    rows = np.concatenate(calls)
+    d = tf.cutoff.delta
+    lo, hi = tf.green.inverse_many(tf.k + np.asarray([d, 1.0 - d]))
+    off = (rows[:, 0] < lo) | (rows[:, -1] > hi)
+    calls += [rows[off], np.concatenate([rows[off], rows[~off][:3]])]
+    # the flat call adds every corner blend's midpoint, where sigma' of a
+    # symmetric apex is exactly zero
+    t0, t1 = tf.green.profile.blend_spans_in(tf.r_lo, tf.r_hi).T
+    calls.append(np.concatenate([rows.ravel()[::5], t0 + 0.5 * (t1 - t0)]))
+    digest = hashlib.sha256()
+    for x in calls:
+        for v in tf._fields(x):
+            assert v.shape == x.shape
+            digest.update(v.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("m,n", sorted(FIELDS_DIGESTS), ids=str)
+def test_fields_digest(monkeypatch, m: int, n: int):
+    cfg = ExperimentConfig(m=m, p=2.0, k=3.0, n_teeth=n)
+    _, _, green, _ = build_construction(cfg)
+    tf = TestFunction(cfg.k, CutoffFunction(), green)
+    assert fields_digest(tf, cfg.quad, monkeypatch) == FIELDS_DIGESTS[(m, n)]

@@ -22,7 +22,9 @@ from czwarp.warping import (
     SawtoothWindow,
     WarpingProfile,
     _cap_coefficients,
+    _XCUT,
     _smoothstep,
+    _smoothstep_inside,
     audit_strip,
     build_base_profile,
     insert_sawtooth,
@@ -105,6 +107,31 @@ def test_smoothstep_partition_and_center():
     assert mid[0][0] == 0.5
     assert abs(mid[1][0] - 2.0) <= 1e-14  # s'(1/2) = 2 for exp(-1/x) weights
     assert np.all(sp >= 0.0)
+
+
+@pytest.mark.parametrize("derivs", [1, 2])
+def test_smoothstep_edges(derivs: int):
+    # at and beyond _XCUT from either end the step is exactly 0 or 1 with
+    # zero derivatives, x = 0 and 1 raise no warning (pytest makes a
+    # RuntimeWarning an error), and the nodes between keep the bits of
+    # _smoothstep_inside
+    edges = np.asarray([0.0, _XCUT, 1.0 - _XCUT, 1.0])
+    x = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [-0.5, 1.5, 0.5]]
+    )
+    lo, hi = x <= _XCUT, x >= 1.0 - _XCUT
+    mid = ~(lo | hi)
+    assert mid.sum() == 3
+    # with nodes between the cuts, and with none
+    for sel in (np.ones_like(mid), ~mid):
+        outs = _smoothstep(x[sel], derivs)
+        assert len(outs) == derivs + 1
+        assert np.all(outs[0][lo[sel]] == 0.0) and np.all(outs[0][hi[sel]] == 1.0)
+        for out in outs[1:]:
+            assert np.all(out[~mid[sel]] == 0.0)
+    inside = _smoothstep_inside(x[mid], derivs)
+    for out, want in zip(_smoothstep(x, derivs), inside):
+        assert out[mid].tobytes() == want.tobytes()
 
 
 def test_smoothstep_derivatives_match_differences():
