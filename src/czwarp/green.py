@@ -247,43 +247,22 @@ class GreenFunction:
             idx = _interval(self._r_tab, x)
         return x, idx, x is not r or bool(r.size and r.max() >= self.r_max)
 
-    def _value_rows(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G at radii r, and the profile row that holds each r.
-
-        r is as _lookup takes it.  The kernel gathers each row's interval,
-        profile row and params once (_by_kind).  g comes back shaped like
-        r; rows is shaped like r, or one per row as an (R, 1) column when
-        no row needed a second look.
-
-        Every knot is a checkpoint, so the table's lookup already names the
-        row of each r in [1, r_max); r_max itself, and radii clipped in from
-        just outside, are looked up in the profile again, node by node.
-        """
-        x, idx, edge = self._lookup(r)
-        g = self._g_tab[idx] + self._partial(idx, x)
-        rows = self._rows[idx]
-        if edge:
-            at = (r < 1.0) | (r >= self.r_max)
-            if rows.shape != x.shape:
-                rows = np.repeat(rows, x.shape[1], axis=1)
-            rows[at] = self.profile.piece_index(r[at])
-        return g, rows
-
     def _value_sigma(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(G, sigma, sigma') at radii r, shaped like r, from one lookup and one partition.
 
         r is as _lookup takes it.  The rows are split by kind class once
         (_by_kind), and each class's part gets G and then sigma and sigma'
         from WarpingProfile._eval_rows on its own profile rows: a part of
-        one piece kind runs without a second gather.  The bits are those of
-        _value_rows followed by _eval_rows, which is what runs instead when
-        a radius is at an edge (see _lookup).
+        one piece kind runs without a second gather.  When a radius is at
+        an edge (see _lookup), G comes from the table as in value_many, and
+        sigma and sigma' from the profile rows piece_index names, node by
+        node; both ways give the bits of value_many and eval_many.
         """
         x, idx, edge = self._lookup(r)
         if not edge:
             return _by_kind(self._kinds, 3, self._value_sigma_of, idx, x)
-        g, rows = self._value_rows(r)
-        return (g, *self.profile._eval_rows(rows, r, derivs=1))
+        g = self._g_tab[idx] + self._partial(idx, x)
+        return (g, *self.profile._eval_rows(self.profile.piece_index(r), r, derivs=1))
 
     def _value_sigma_of(self, kind: int, idx: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
         """_value_sigma on intervals that are all of one kind class."""
@@ -292,7 +271,8 @@ class GreenFunction:
 
     def value_many(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        return self._value_rows(np.ravel(r))[0].reshape(r.shape)
+        x, idx, _ = self._lookup(np.ravel(r))
+        return (self._g_tab[idx] + self._partial(idx, x)).reshape(r.shape)
 
     def value(self, r: float) -> float:
         return float(self.value_many(np.asarray([float(r)]))[0])

@@ -78,21 +78,17 @@ class CutoffFunction:
         plateau = (s >= d) & (s <= 1.0 - d)
         w[plateau] = 1.0
 
-        rise = (s > half) & (s < d)
-        if np.any(rise):
-            x = (s[rise] - half) / half
-            sv, sp, spp = _smoothstep(x)
-            w[rise] = sv
-            dw[rise] = sp / half
-            d2w[rise] = spp / half**2
-
-        fall = (s > 1.0 - d) & (s < 1.0 - half)
-        if np.any(fall):
-            x = ((1.0 - half) - s[fall]) / half
-            sv, sp, spp = _smoothstep(x)
-            w[fall] = sv
-            dw[fall] = -sp / half
-            d2w[fall] = spp / half**2
+        # on each ramp x runs from 0 at its outer end, start, where w = 0, to
+        # 1 where w = 1; on the fall, -1.0 * (s - start) is start - s to the
+        # bit, since s never equals start inside the fall's open interval
+        ramps = ((half, d, half, 1.0), (1.0 - d, 1.0 - half, 1.0 - half, -1.0))
+        for lo, hi, start, sign in ramps:
+            ramp = (s > lo) & (s < hi)
+            if np.any(ramp):
+                sv, sp, spp = _smoothstep(sign * (s[ramp] - start) / half)
+                w[ramp] = sv
+                dw[ramp] = sign * sp / half
+                d2w[ramp] = spp / half**2
 
         phi = s * w
         dphi = w + s * dw

@@ -149,10 +149,10 @@ def _smoothstep(x: np.ndarray, derivs: int = 2) -> tuple[np.ndarray, ...]:
     """C-infinity step on [0, 1] with its first derivs (1 or 2) derivatives in x.
 
     At and beyond _XCUT from either end the step is exactly 0 or 1 with
-    zero derivatives.  When some nodes lie there and some do not,
-    _smoothstep_inside runs on every node, with numpy's warnings silenced
-    for the ones where it may divide by zero, and those are then
-    overwritten; gathering the others would cost more.
+    zero derivatives.  When some nodes lie there, _smoothstep_inside runs
+    on every node, with numpy's warnings silenced for the ones where it
+    may divide by zero, and those are then overwritten; gathering the
+    others would cost more.
     """
     x = np.asarray(x, dtype=float)
     if x.size and x.min() > _XCUT and x.max() < 1.0 - _XCUT:
@@ -160,8 +160,6 @@ def _smoothstep(x: np.ndarray, derivs: int = 2) -> tuple[np.ndarray, ...]:
     lo = x <= _XCUT
     hi = x >= 1.0 - _XCUT
     edge = lo | hi
-    if edge.all():
-        return (hi.astype(float), *(np.zeros_like(x) for _ in range(derivs)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         outs = _smoothstep_inside(x, derivs)
     outs[0][lo] = 0.0
@@ -169,15 +167,6 @@ def _smoothstep(x: np.ndarray, derivs: int = 2) -> tuple[np.ndarray, ...]:
     for out in outs[1:]:
         out[edge] = 0.0
     return outs
-
-
-# most rows of nodes one kernel pass holds.  A row is one quadrature panel
-# of an integrand call, or one node of a flat input.  An integrand call
-# (at most 2048 panels) and its blend rows' neighbour pair stay whole;
-# longer flat inputs, such as the strip audit and the Green table build
-# over every knot, run a block at a time, so their temporaries do not grow
-# with the number of pieces
-_BLOCK = 1 << 16
 
 
 def _by_kind(
@@ -197,8 +186,7 @@ def _by_kind(
     Rows are gathered with ndarray.take along the first axis, which
     copies a row of nodes about twice as fast as indexing x[sel].  When one kind
     covers every row, fn's result is returned without a gather or a
-    scatter; an empty input counts as POWER.  Inputs of more than _BLOCK
-    rows run a block at a time.
+    scatter; an empty input counts as POWER.
     """
     if idx.ndim == 2 and idx.shape[1] > 1:
         split = idx[:, 0] != idx[:, -1]
@@ -214,18 +202,12 @@ def _by_kind(
         idx = idx[:, :1]
     row_kinds = kinds[idx].reshape(-1)
     first = int(row_kinds[0]) if row_kinds.size else POWER
-    if row_kinds.size <= _BLOCK and np.all(row_kinds == first):
+    if np.all(row_kinds == first):
         return fn(first, idx, x, *args)
     # the outputs are allocated before any part is computed; allocated
     # after the first part, they left the heap fragmented and raised the
     # peak RSS of a 2^15 cell
     outs = tuple(np.empty(x.shape) for _ in range(width))
-    if row_kinds.size > _BLOCK:
-        for i in range(0, row_kinds.size, _BLOCK):
-            sl = slice(i, i + _BLOCK)
-            for out, v in zip(outs, _by_kind(kinds, width, fn, idx[sl], x[sl], *args)):
-                out[sl] = v
-        return outs
     for kind in np.flatnonzero(np.bincount(row_kinds)):
         sel = np.flatnonzero(row_kinds == kind)
         part = fn(int(kind), idx.take(sel, axis=0), x.take(sel, axis=0), *args)

@@ -302,6 +302,20 @@ def test_search_refines_the_real_crossing():
     assert by_n[2212].violated is True
 
 
+@pytest.mark.parametrize(
+    "m, n_star", [(5, 138), (6, 119), (7, 105), (8, 96), (9, 88), (10, 82)]
+)
+def test_search_certifies_high_dimensions(m: int, n_star: int):
+    # beyond criterion 6's m <= 4: at p = 2, k = 2 the search certifies n*
+    # with n* - 1 probed clean, and every probe's construction audits clean
+    found, trace = search_min_n(replace(BASE, m=m, k=2.0), 2**15)
+    assert found == n_star
+    by_n = {r.config.n_teeth: r for r in trace}
+    assert by_n[n_star].violated is True
+    assert by_n[n_star - 1].violated is False
+    assert all(r.audit.overall_pass for r in trace)
+
+
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep(BASE, [], [2.0], [3.0], [1])

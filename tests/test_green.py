@@ -302,6 +302,19 @@ def test_kernel_digest(m: int, n: int):
     assert kernel_digest(green, m * 100003 + n) == KERNEL_DIGESTS[(m, n)]
 
 
+def _assert_value_sigma_is_per_node(green: GreenFunction, x: np.ndarray, name: str = "") -> None:
+    """_value_sigma at x, 2-D and flat, has the bits of one lookup per node.
+
+    The reference is value_many for G and the profile's eval_many for sigma
+    and sigma', which look up every node on its own.
+    """
+    want = (green.value_many(x), *green.profile.eval_many(x)[:2])
+    for arg in (x, x.ravel()):
+        for v, w in zip(green._value_sigma(arg), want):
+            assert v.shape == arg.shape, name
+            assert v.tobytes() == w.tobytes(), name
+
+
 def test_table_rows_are_the_profile_rows():
     # sigma is evaluated on the rows of the Green table's lookup; they must
     # be the rows piece_index names, also at r_max when it is a knot and
@@ -312,9 +325,7 @@ def test_table_rows_are_the_profile_rows():
     assert prof.piece_index(np.asarray([r_max]))[0] != green._rows[-1]
     cps = green._r_tab
     r = np.concatenate([cps, np.nextafter(cps[1:], -np.inf), [np.nextafter(1.0, 0.0)]])
-    g, rows = green._value_rows(r)
-    np.testing.assert_array_equal(g, green.value_many(r))
-    np.testing.assert_array_equal(rows, prof.piece_index(r))
+    _assert_value_sigma_is_per_node(green, r[:, None])
 
 
 def test_empty_inputs_keep_their_shape():
@@ -375,9 +386,9 @@ def _panel_cases(green: GreenFunction, seed: int) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_panel_rows_match_one_lookup_per_node(m: int):
-    # a (panels, order) input is looked up at each row's two end nodes and
-    # the row's operands are broadcast; G, sigma and sigma' must be the bits
-    # of a flat input, one lookup per node, also on the rows that fall back
+    # a (panels, order) input is looked up at each row's first node and the
+    # row's operands are broadcast; G, sigma and sigma' must be the bits of
+    # one lookup per node, also on the rows that fall back
     # to node-by-node lookups: across fill checkpoints, at and clipped into
     # r_max (a POWER point, and a knot), and a few float spacings wide
     green = sawtooth_green(m, 3.0, 64)
@@ -389,22 +400,7 @@ def test_panel_rows_match_one_lookup_per_node(m: int):
         assert np.all(first != last)
         assert cases["r_max"].max() > table.r_max
         for name, x in cases.items():
-            g, rows = table._value_rows(x)
-            sigma, dsigma = prof._eval_rows(rows, x, derivs=1)
-            assert rows.shape == ((len(x), 1) if name == "intervals" else x.shape), name
-            g1, rows1 = table._value_rows(x.ravel())
-            sigma1, dsigma1, _ = prof._eval_rows(rows1, x.ravel())
-            for two_d, flat in ((g, g1), (sigma, sigma1), (dsigma, dsigma1)):
-                assert two_d.shape == x.shape
-                assert np.array_equal(two_d.ravel(), flat), name
-            # G and sigma from one partition of the rows, 2-D and flat
-            for got, want in (
-                (table._value_sigma(x), (g, sigma, dsigma)),
-                (table._value_sigma(x.ravel()), (g1, sigma1, dsigma1)),
-            ):
-                for v, w in zip(got, want):
-                    assert v.shape == w.shape
-                    assert v.tobytes() == w.tobytes(), name
+            _assert_value_sigma_is_per_node(table, x, name)
 
 
 @pytest.mark.parametrize("m,k,n", [(6, 14.5, 1), (4, 11.0, 4096)])

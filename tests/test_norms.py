@@ -264,6 +264,21 @@ def test_trace_inequality(m: int, p: float):
     assert lap <= m ** (p / 2.0) * hess * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_norms_are_log_convex_in_p(m: int, n: int):
+    # Lyapunov's inequality: p -> log ||f||_p^p is convex for one f and one
+    # measure, and 2 = 0.8 * 1.5 + 0.2 * 4, so M_2 <= M_1.5^0.8 * M_4^0.2
+    # for each norm; the reported error bars may only shrink the slack
+    ps = (1.5, 2.0, 4.0)
+    reps = dict(zip(ps, norms_report(sawtooth_tf(m, 3.0, n), ps, SPEC)))
+    for norm in ("u", "lap", "hess"):
+        mass = {p: getattr(rep, f"norm_{norm}_p_pow") for p, rep in reps.items()}
+        err = {p: getattr(rep, f"err_{norm}") for p, rep in reps.items()}
+        upper = 0.8 * math.log(mass[1.5] - err[1.5]) + 0.2 * math.log(mass[4.0] - err[4.0])
+        assert math.log(mass[2.0] + err[2.0]) <= upper, norm
+
+
 def test_hessian_doubling_law():
     # in the tooth-dominated regime the Hessian mass scales like n^p while
     # u and Laplacian masses stay put
