@@ -78,17 +78,19 @@ class CutoffFunction:
         plateau = (s >= d) & (s <= 1.0 - d)
         w[plateau] = 1.0
 
-        # on each ramp x runs from 0 at its outer end, start, where w = 0, to
-        # 1 where w = 1; on the fall, -1.0 * (s - start) is start - s to the
-        # bit, since s never equals start inside the fall's open interval
-        ramps = ((half, d, half, 1.0), (1.0 - d, 1.0 - half, 1.0 - half, -1.0))
-        for lo, hi, start, sign in ramps:
-            ramp = (s > lo) & (s < hi)
-            if np.any(ramp):
-                sv, sp, spp = _smoothstep(sign * (s[ramp] - start) / half)
-                w[ramp] = sv
-                dw[ramp] = sign * sp / half
-                d2w[ramp] = spp / half**2
+        def ramp(mask, x, dsign):
+            # w = smoothstep(x) on mask; x runs from 0 where w = 0 to 1 where w = 1
+            sv, sp, spp = _smoothstep(x)
+            w[mask] = sv
+            dw[mask] = dsign * sp / half
+            d2w[mask] = spp / half**2
+
+        rise = (s > half) & (s < d)
+        if np.any(rise):
+            ramp(rise, (s[rise] - half) / half, 1.0)
+        fall = (s > 1.0 - d) & (s < 1.0 - half)
+        if np.any(fall):
+            ramp(fall, ((1.0 - half) - s[fall]) / half, -1.0)
 
         phi = s * w
         dphi = w + s * dw

@@ -317,15 +317,23 @@ def _assert_value_sigma_is_per_node(green: GreenFunction, x: np.ndarray, name: s
 
 def test_table_rows_are_the_profile_rows():
     # sigma is evaluated on the rows of the Green table's lookup; they must
-    # be the rows piece_index names, also at r_max when it is a knot and
-    # just below r = 1
+    # be the rows piece_index names at every checkpoint and just below it,
+    # and r_max when it is a knot and a radius just below r = 1 take the
+    # edge branch, which evaluates sigma on piece_index's rows
     prof = sawtooth_green(2, 2.0, 8).profile
     r_max = float(prof.knots[-3])
     green = GreenFunction(prof, r_max=r_max)
     assert prof.piece_index(np.asarray([r_max]))[0] != green._rows[-1]
     cps = green._r_tab
-    r = np.concatenate([cps, np.nextafter(cps[1:], -np.inf), [np.nextafter(1.0, 0.0)]])
-    _assert_value_sigma_is_per_node(green, r[:, None])
+    interior = np.concatenate([cps[:-1], np.nextafter(cps[1:], -np.inf)])
+    _, idx, edge = green._lookup(interior)
+    assert not edge
+    np.testing.assert_array_equal(green._rows[idx], prof.piece_index(interior))
+    outer = np.asarray([r_max, np.nextafter(1.0, 0.0)])
+    for r in outer:
+        assert green._lookup(np.asarray([r]))[2]
+    for r in (interior, outer):
+        _assert_value_sigma_is_per_node(green, r[:, None])
 
 
 def test_empty_inputs_keep_their_shape():
@@ -399,8 +407,20 @@ def test_panel_rows_match_one_lookup_per_node(m: int):
         first, last = (np.searchsorted(table._r_tab, cases["fill_straddle"][:, j]) for j in (0, -1))
         assert np.all(first != last)
         assert cases["r_max"].max() > table.r_max
+        # a row inside one checkpoint interval is looked up once, a split
+        # row node by node
+        x = cases["intervals"]
+        assert table._lookup(x)[1].shape == (len(x), 1)
+        x = cases["fill_straddle"]
+        assert table._lookup(x)[1].shape == x.shape
         for name, x in cases.items():
             _assert_value_sigma_is_per_node(table, x, name)
+            # rows inside [1, r_max) alone take the table's rows, not the
+            # edge branch
+            inner = x[(x.min(axis=1) >= 1.0) & (x.max(axis=1) < table.r_max)]
+            if inner.size:
+                assert not table._lookup(inner)[2], name
+                _assert_value_sigma_is_per_node(table, inner, name)
 
 
 @pytest.mark.parametrize("m,k,n", [(6, 14.5, 1), (4, 11.0, 4096)])
