@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .quadrature import BoundAudit
+from .quadrature import BoundAudit, _row_max
 from .warping import BLEND, CAP, LINEAR, POWER, WarpingProfile, _by_kind
 
 __all__ = [
@@ -220,25 +220,27 @@ class GreenFunction:
         """(x, idx, edge): r clipped into [1, r_max], and the checkpoint interval of its rows.
 
         r is flat, one node per row, or holds nodes in rows, shape (R, c),
-        each row increasing, such as an integrand's panels.  A row is looked
-        up at its first node only, and its last node is compared with the
-        next checkpoint: the nodes increase and rounding is monotone, so
-        when the last node lies below it, every node of the row lies in the
-        first node's interval, and idx names it once per row, as an (R, 1)
-        column.  A row that reaches the next checkpoint, on a POWER row with
-        fill checkpoints, is looked up node by node, and idx is then shaped
-        like r.  edge says that some radius is r_max itself or was clipped
-        in from just outside, where the table's interval does not name the
+        such as an integrand's panels: each row ascends, or is three
+        ascending blocks laid out as quadrature._panel_rows lays them, with
+        the row's least node first.  A row is looked up at its first node
+        only, and its greatest node (quadrature._row_max) is compared with
+        the next checkpoint: rounding is monotone, so when the greatest
+        node lies below it, every node of the row lies in the first node's
+        interval, and idx names it once per row, as an (R, 1) column.  A
+        row that reaches the next checkpoint, on a POWER row with fill
+        checkpoints, is looked up node by node, and idx is then shaped like
+        r.  edge says that some radius is r_max itself or was clipped in
+        from just outside, where the table's interval does not name the
         profile row that holds it.
         """
         x = _clip_checked(r, 1.0, self.r_max, f"radius {{!r}} outside [1, {self.r_max!r}]")
         if x.ndim == 2:
             idx = _interval(self._r_tab, x[:, :1])
-            # the last node shares the first's interval unless it reaches the
-            # next checkpoint; the last interval takes everything up to r_max
+            # the greatest node shares the first's interval unless it reaches
+            # the next checkpoint; the last interval takes everything up to r_max
             first = idx[:, 0]
             split = np.flatnonzero(
-                (x[:, -1] >= self._r_tab[first + 1]) & (first < self._r_tab.size - 2)
+                (_row_max(x) >= self._r_tab[first + 1]) & (first < self._r_tab.size - 2)
             )
             if split.size:
                 idx = np.repeat(idx, x.shape[1], axis=1)
@@ -265,9 +267,13 @@ class GreenFunction:
         return (g, *self.profile._eval_rows(self.profile.piece_index(r), r, derivs=1))
 
     def _value_sigma_of(self, kind: int, idx: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
-        """_value_sigma on intervals that are all of one kind class."""
-        g = self._g_tab[idx] + self._partial_of(kind, idx, r)[0]
-        return (g, *self.profile._eval_rows(self._rows[idx], r, derivs=1))
+        """_value_sigma on intervals that are all of one kind class.
+
+        sigma and sigma' come first, so G is not held while a BLEND part
+        evaluates both neighbours.
+        """
+        sigma = self.profile._eval_rows(self._rows[idx], r, derivs=1)
+        return (self._g_tab[idx] + self._partial_of(kind, idx, r)[0], *sigma)
 
     def value_many(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)

@@ -126,8 +126,9 @@ class TestFunction:
         and sigma' come from one lookup and one partition of the rows by
         kind (GreenFunction._value_sigma), and sigma comes back as the
         volume weight's base; sigma'' is never formed.  A 2-D r holds nodes
-        in rows, each row increasing, such as an integrand's panels, and
-        each row is looked up once; any other r is one node per row.
+        in rows laid out as GreenFunction._lookup takes them, such as an
+        integrand's panels with their three rules side by side, and each
+        row is looked up once; any other r is one node per row.
 
         Each row is then classed by s = G - k at every node.  A row wholly
         on the plateau [delta, 1 - delta] takes phi = s, phi' = 1, phi'' = 0
@@ -233,10 +234,15 @@ def norms_report(tf: TestFunction, ps: tuple, spec: QuadratureSpec) -> tuple[Nor
     m = profile.config.m
     gamma = profile.config.gamma_m
 
+    # each field is dropped once used, to keep the peak memory of a call low
     def integrand(r: np.ndarray) -> tuple[np.ndarray, ...]:
         u, lap, radial, tangential, sigma = tf._fields(r)
-        fields = (np.abs(u), np.abs(lap), np.sqrt(radial**2 + (m - 1) * tangential**2))
+        hess = np.sqrt(radial**2 + (m - 1) * tangential**2)
+        del radial, tangential
+        fields = (np.abs(u), np.abs(lap), hess)
+        del u, lap
         weight = sigma ** (m - 1)
+        del sigma
         return tuple(f**p * weight for p in ps for f in fields)
 
     d = tf.cutoff.delta

@@ -10,11 +10,13 @@ on how they are grouped into batches.
 
 Integrands must be vectorized: f(x: ndarray) -> ndarray, or a tuple of
 ndarrays for several integrands over the same panels.  x is a C-contiguous
-float64 array of shape (panels, base_order): each row holds one panel's
-nodes, sorted ascending, so an integrand can look up what is constant on a
-panel once per row.  f returns x.size values per column, in x's order and
-in any shape; an elementwise integrand written for flat input works
-unchanged and gives the same bits.
+float64 array of shape (panels, 3 * base_order): each row holds one
+panel's nodes for all three of its error estimate's rules, as three
+ascending blocks (left half, whole panel, right half), the row's least
+node first, so an integrand can look up what is constant on a panel once
+per row.  f returns x.size values per column, in x's order and in any
+shape; an elementwise integrand written for flat input works unchanged
+and gives the same bits.
 
 Columns share the breakpoints and every integrand call: each pass
 evaluates, in the same calls, the panels that every column still refines at
@@ -23,11 +25,11 @@ each panel's weighted sums come from the same batch of rows as when the
 column is integrated alone, so each column comes out bit-identical to
 integrating it alone.
 
-A pass is cut into batches of panels, and the rules of each batch into
-integrand calls of bounded size, so one call's node and value arrays bound
-the memory a pass holds, and the small panel sets of a refinement pass share
-one call.  The calls run one after another on the calling thread; an
-integrand may itself call integrate().
+A pass is cut into batches of panels, packed into integrand calls of
+bounded size, so one call's node and value arrays bound the memory a pass
+holds, and the small panel sets of a refinement pass share one call.  The
+calls run one after another on the calling thread; an integrand may itself
+call integrate().
 """
 
 from __future__ import annotations
@@ -48,14 +50,18 @@ __all__ = [
     "integrate",
 ]
 
-# panels per evaluation batch, and the most panels' worth of nodes one
-# integrand call holds; bounds peak memory, which holds one call's node and
-# value arrays at a time.  Batches start on multiples of 4, the BLAS gemv
-# row block, and each batch's weighted sums are one gemv over its own rows, so
-# a panel's weighted sum does not depend on the batch size or on what else
-# shares the call.  numpy sums a single row outside gemv, which may round
-# differently, so a lone last panel joins the batch before it
-_CHUNK = 2048
+# panels per evaluation batch, and the most panels one integrand call
+# holds; bounds peak memory, which holds one call's node and value arrays at
+# a time.  At base order 8 a call holds up to 32,736 nodes; on a 2-core
+# Xeon, calls of 2048 panels ran the norms pass of a 2^15 cell about 5 %
+# faster, but raised the peak RSS of perfbench's search by 6.6 % (2.8 MB)
+# over one-rule calls of 2048 panels, against 2.1 % here.  Batches start
+# on multiples of 4, the BLAS gemv row block, and each rule's weighted sums
+# over a batch are one gemv over its own rows, so a panel's weighted sum
+# does not depend on the batch size or on what else shares the call.  numpy
+# sums a single row outside gemv, which may round differently, so a lone
+# last panel joins the batch before it
+_CHUNK = 1364
 # error floor relative to the panel value, so reported errors never
 # understate plain rounding noise
 _NOISE = 2.0 ** -50
@@ -147,12 +153,42 @@ def _batches(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-# the three rules of a panel: whole, left half, right half
-_WHOLE, _LEFT, _RIGHT = range(3)
 # a set of panels that one pass refines: (lo, hi, the columns of f it needs)
 _PanelSet = tuple[np.ndarray, np.ndarray, slice]
-# one rule over one batch of one set: (set index, batch, rule)
-_Block = tuple[int, slice, int]
+
+
+def _panel_rows(
+    lo: np.ndarray, hi: np.ndarray, nodes: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Write each panel's left-half, whole and right-half nodes into its row of out.
+
+    out has shape (panels, 3 * nodes.size).  Each block is x0 + w * nodes
+    over its own rule's interval, so it ascends, and the row's least node
+    is its first: the left block's first lies at or below the whole
+    block's, and at or below mid, where the right block starts.  Returns
+    the three rules' widths w, left, whole, right.
+    """
+    mid = lo + 0.5 * (hi - lo)
+    order = nodes.size
+    widths = []
+    for j, (x0, x1) in enumerate(((lo, mid), (lo, hi), (mid, hi))):
+        w = x1 - x0
+        np.add(x0[:, None], w[:, None] * nodes[None, :], out=out[:, j * order : (j + 1) * order])
+        widths.append(w)
+    return tuple(widths)
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Each row's greatest entry, for rows laid out as _panel_rows lays them.
+
+    The left block ends at or below the whole block's end, so the greatest
+    node is the last of the whole block or of the right block.  The right
+    block's lies (1 - nodes[-1]) (mid - lo) above the whole block's before
+    rounding, and no panel has been seen where it ends lower, but nothing
+    here promises it, so both are compared.  An ascending row of any width
+    gives its last entry.
+    """
+    return np.maximum(x[:, -1], x[:, 2 * x.shape[1] // 3 - 1])
 
 
 def _panel_pass(
@@ -166,64 +202,50 @@ def _panel_pass(
     Value is the two-half composite; error is its distance to the single
     whole-panel rule, plus a rounding-noise floor.
 
-    Each set is cut into batches and each batch into its three rules; the
-    blocks are packed in order into integrand calls of at most _CHUNK
-    panels' nodes, so small sets share one call.  The calls run in order
-    on the calling thread.  Each block's weighted sums are one gemv over
-    that block's own rows, folded into the result arrays as soon as its
-    call returns.
+    Each set is cut into batches, which are packed in order into integrand
+    calls of at most _CHUNK panels, so small sets share one call.  A call
+    gets one row per panel holding all three of its rules' nodes
+    (_panel_rows), and the calls run in order on the calling thread.  Each
+    rule's weighted sums over a batch are one gemv over a contiguous copy
+    of that rule's block of the batch's rows, folded into the result
+    arrays as soon as its call returns.
     """
     nodes, weights = _rule(order)
-    blocks = [
-        (k, sl, rule)
-        for k, (lo, _, _) in enumerate(sets)
-        for sl in _batches(lo.size)
-        for rule in (_WHOLE, _LEFT, _RIGHT)
-    ]
-
-    calls: list[list[_Block]] = []
+    calls: list[list[tuple[int, slice]]] = []
     rows = 0
-    for block in blocks:
-        size = block[1].stop - block[1].start
-        if not calls or rows + size > _CHUNK:
-            calls.append([])
-            rows = 0
-        calls[-1].append(block)
-        rows += size
+    for k, (lo, _, _) in enumerate(sets):
+        for sl in _batches(lo.size):
+            size = sl.stop - sl.start
+            if not calls or rows + size > _CHUNK:
+                calls.append([])
+                rows = 0
+            calls[-1].append((k, sl))
+            rows += size
 
-    # per set and selected column: the halves' sum, and the whole-panel rule
-    # until a batch's right half arrives and turns it into the error
+    # per set and selected column: the halves' sum and its error
     out: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in sets]
 
     # one integrand call and its fold; the call's node and value arrays are
     # freed when it returns, before the next call allocates its own
-    def run(call: list[_Block]) -> None:
-        spans = []  # per block: left ends, widths, and its rows of the node array
+    def run(call: list[tuple[int, slice]]) -> None:
+        spans = []  # per batch: its rules' widths and its rows of the node array
+        pts = np.empty((sum(sl.stop - sl.start for _, sl in call), 3 * order))
         start = 0
-        for k, sl, rule in call:
-            a, b = sets[k][0][sl], sets[k][1][sl]
-            mid = a + 0.5 * (b - a)
-            x0, x1 = ((a, b), (a, mid), (mid, b))[rule]
-            spans.append((x0, x1 - x0, slice(start, start + x0.size)))
-            start += x0.size
-        # one node array for the whole call, written in place block by block
-        pts = np.empty((start, order))
-        for x0, w, r in spans:
-            np.add(x0[:, None], w[:, None] * nodes[None, :], out=pts[r])
-        cols = [np.asarray(v, dtype=float).reshape(pts.shape) for v in _columns(f, pts)]
-        for (k, sl, rule), (_, w, r) in zip(call, spans):
-            block = [w * (v[r] @ weights) for v in cols[sets[k][2]]]
+        for k, sl in call:
+            r = slice(start, start + sl.stop - sl.start)
+            spans.append((_panel_rows(sets[k][0][sl], sets[k][1][sl], nodes, pts[r]), r))
+            start = r.stop
+        cols = [np.asarray(v, dtype=float).reshape(-1, 3, order) for v in _columns(f, pts)]
+        for (k, sl), (widths, r) in zip(call, spans):
+            selected = cols[sets[k][2]]
             if not out[k]:
                 n = sets[k][0].size
-                out[k] = [(np.empty(n), np.empty(n)) for _ in block]
-            for (halves, err), v in zip(out[k], block):
-                if rule == _WHOLE:
-                    err[sl] = v
-                elif rule == _LEFT:
-                    halves[sl] = v
-                else:  # blocks arrive in order: the other two rules are in place
-                    halves[sl] += v
-                    err[sl] = np.abs(err[sl] - halves[sl]) + _NOISE * np.abs(halves[sl])
+                out[k] = [(np.empty(n), np.empty(n)) for _ in selected]
+            for (halves, err), v in zip(out[k], selected):
+                left, whole, right = (w * (v[r, j].copy() @ weights) for j, w in enumerate(widths))
+                value = left + right
+                halves[sl] = value
+                err[sl] = np.abs(whole - value) + _NOISE * np.abs(value)
 
     with np.errstate(**_QUIET):
         for call in calls:
@@ -257,8 +279,10 @@ def integrate(
     """Integrate f over [a, b] with panels split at the given breakpoints.
 
     f(x) gets a C-contiguous float64 array of shape (panels,
-    spec.base_order), one panel's nodes per row, sorted ascending, and
-    returns x.size values in x's order, in any shape.
+    3 * spec.base_order), one panel per row: its left half's, whole
+    panel's and right half's rule nodes, three blocks each sorted
+    ascending, the row's least node first.  It returns x.size values in
+    x's order, in any shape.
 
     Returns (value, error_estimate).  The estimate is a sum of per-panel
     whole-versus-halves discrepancies and is meant to be conservative for

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import BoundAudit
+from .quadrature import BoundAudit, _row_max
 
 __all__ = [
     "CAP",
@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 POWER, LINEAR, CAP, BLEND = 0, 1, 2, 3
+# _by_kind's part of rows split across table rows, after every kind
+_SPLIT = 4
 
 STRIP_TOL = 1e-12
 
@@ -174,35 +176,33 @@ def _by_kind(
 ) -> tuple[np.ndarray, ...]:
     """fn(kind, idx, x, *args) run once per kind of kinds[idx] present, on the rows of that kind.
 
-    x is flat, one node per row, or holds nodes in rows, shape (R, c), each
-    row increasing.  idx names the table row (of kinds and of the caller's
-    other columns) that holds each node: shaped like x, or for rows of
-    nodes one per row as an (R, 1) column.  Table rows increase with the
-    node, so a row of x whose first and last nodes share a table row lies
-    wholly inside it.  fn gets such rows with their index as an (R', 1)
-    column, so it gathers each row's operands once and broadcasts them over
-    the row's nodes; every other row runs flat, one node per row.  fn
-    returns width arrays shaped like its x, which are put back in place.
-    Rows are gathered with ndarray.take along the first axis, which
-    copies a row of nodes about twice as fast as indexing x[sel].  When one kind
-    covers every row, fn's result is returned without a gather or a
-    scatter; an empty input counts as POWER.
+    x is flat, one node per row, or holds nodes in rows, shape (R, c),
+    laid out as GreenFunction._lookup takes them: the row's least node
+    first and its greatest at quadrature._row_max.  idx names the table
+    row (of kinds and of the caller's other columns) that holds each
+    node: shaped like x, or for rows of nodes one per row as an (R, 1)
+    column.  Table rows increase with the node, so a row of x whose least
+    and greatest nodes share a table row lies wholly inside it.  fn gets
+    such rows with their index as an (R', 1) column, so it gathers each
+    row's operands once and broadcasts them over the row's nodes.  The
+    other rows, split across table rows, form one more part of their
+    own, which runs flat, one node per row.  fn returns width arrays
+    shaped like its x, which are put back in place.  Rows are gathered
+    with ndarray.take along the first axis, which copies a row of nodes
+    about twice as fast as indexing x[sel].  When one kind covers every
+    row, fn's result is returned without a gather or a scatter; an empty
+    input counts as POWER.
     """
-    if idx.ndim == 2 and idx.shape[1] > 1:
-        split = idx[:, 0] != idx[:, -1]
-        if np.any(split):
-            sels = np.flatnonzero(~split), np.flatnonzero(split)
-            whole = (idx[:, :1].take(sels[0], axis=0), x.take(sels[0], axis=0))
-            flat = (idx.take(sels[1], axis=0).ravel(), x.take(sels[1], axis=0).ravel())
-            outs = tuple(np.empty(x.shape) for _ in range(width))
-            for sel, (i, v) in zip(sels, (whole, flat)):
-                for out, part in zip(outs, _by_kind(kinds, width, fn, i, v, *args)):
-                    out[sel] = part.reshape(-1, x.shape[1])
-            return outs
+    full = idx
+    if idx.ndim == 2:
         idx = idx[:, :1]
     row_kinds = kinds[idx].reshape(-1)
+    if full.ndim == 2 and full.shape[1] > 1:
+        split = idx[:, 0] != _row_max(full)
+        if np.any(split):
+            row_kinds = np.where(split, _SPLIT, row_kinds)
     first = int(row_kinds[0]) if row_kinds.size else POWER
-    if np.all(row_kinds == first):
+    if first != _SPLIT and np.all(row_kinds == first):
         return fn(first, idx, x, *args)
     # the outputs are allocated before any part is computed; allocated
     # after the first part, they left the heap fragmented and raised the
@@ -210,7 +210,11 @@ def _by_kind(
     outs = tuple(np.empty(x.shape) for _ in range(width))
     for kind in np.flatnonzero(np.bincount(row_kinds)):
         sel = np.flatnonzero(row_kinds == kind)
-        part = fn(int(kind), idx.take(sel, axis=0), x.take(sel, axis=0), *args)
+        if kind == _SPLIT:
+            flat = (full.take(sel, axis=0).ravel(), x.take(sel, axis=0).ravel())
+            part = [v.reshape(sel.size, -1) for v in _by_kind(kinds, width, fn, *flat, *args)]
+        else:
+            part = fn(int(kind), idx.take(sel, axis=0), x.take(sel, axis=0), *args)
         for out, v in zip(outs, part):
             out[sel] = v
     return outs
@@ -336,26 +340,25 @@ class WarpingProfile:
         return out if derivs == 1 else (*out, t * (6.0 * p0 + t * (12.0 * p1 + t * 20.0 * p2)))
 
     def _blend(self, rows: np.ndarray, t: np.ndarray, derivs: int) -> tuple[np.ndarray, ...]:
-        """BLEND rows: both neighbours evaluated in one call, then mixed.
+        """BLEND rows: each neighbour evaluated on the nodes, then mixed.
 
-        Temporaries are dropped once used, to keep the peak memory of a
-        call low.
+        Temporaries are dropped once used, and the neighbours are evaluated
+        one after the other, not on a concatenated copy of the nodes, to
+        keep the peak memory of a call low.
         """
         t0 = self.piece_t0[rows]
         width = self.piece_t1[rows] - t0
         step = _smoothstep((t - t0) / width, derivs)
         s = step[0]
         del t0
-        sides = np.concatenate((rows - 1, rows + 1))
-        both = _by_kind(self.piece_kinds, derivs + 1, self._piece, sides, np.concatenate((t, t)), derivs)
-        del sides
-        (yl, yr), (dl, dr) = np.split(both[0], 2), np.split(both[1], 2)
+        yl, dl, *d2l = _by_kind(self.piece_kinds, derivs + 1, self._piece, rows - 1, t, derivs)
+        yr, dr, *d2r = _by_kind(self.piece_kinds, derivs + 1, self._piece, rows + 1, t, derivs)
         gap = yr - yl
         slope = step[1] / width
         out = (yl + s * gap, dl + s * (dr - dl) + slope * gap)
         if derivs == 1:
             return out
-        d2l, d2r = np.split(both[2], 2)
+        d2l, d2r = d2l[0], d2r[0]
         return (*out, d2l + s * (d2r - d2l) + 2.0 * slope * (dr - dl) + (step[2] / width**2) * gap)
 
     def _eval_rows(
@@ -365,12 +368,12 @@ class WarpingProfile:
 
         The kernel behind every sigma evaluation: each piece kind runs once,
         on its own rows (_by_kind).  t is flat, one node per row, or holds
-        nodes in rows, shape (R, c), each row increasing, such as an
-        integrand's panels.  rows names the piece row of each node, shaped
-        like t, or one per row of a 2-D t as an (R, 1) column: piece_index(t)
-        or a caller's own lookup of the same rows.  Returns arrays shaped
-        like t; for a 2-D t, sigma' on LINEAR rows may be a read-only
-        broadcast of their slopes.
+        nodes in rows, shape (R, c), laid out as GreenFunction._lookup
+        takes them, such as an integrand's panels.  rows names the piece
+        row of each node, shaped like t, or one per row of a 2-D t as an
+        (R, 1) column: piece_index(t) or a caller's own lookup of the same
+        rows.  Returns arrays shaped like t; for a 2-D t, sigma' on LINEAR
+        rows may be a read-only broadcast of their slopes.
         """
         return _by_kind(self.piece_kinds, derivs + 1, self._piece, rows, t, derivs)
 

@@ -19,6 +19,7 @@ from czwarp.green import (
     audit_green_bounds,
     find_h,
 )
+from czwarp.quadrature import _panel_rows
 from czwarp.warping import (
     CAP,
     LINEAR,
@@ -346,10 +347,12 @@ def test_empty_inputs_keep_their_shape():
 
 
 
-def _panel_cases(green: GreenFunction, seed: int) -> dict[str, np.ndarray]:
-    """(panels, 8) node arrays, one per case the panel-major kernel must cover."""
+_GAUSS = np.polynomial.legendre.leggauss(8)[0] * 0.5 + 0.5
+
+
+def _panel_cases(green: GreenFunction, seed: int) -> dict[str, tuple[np.ndarray, ...]]:
+    """(lo, hi, at) per case the kernel must cover: nodes at fractions at of [lo, hi]."""
     prof = green.profile
-    gauss = np.polynomial.legendre.leggauss(8)[0] * 0.5 + 0.5
     ends = np.linspace(0.0, 1.0, 8)
     rng = np.random.default_rng(seed)
     r_max = green.r_max
@@ -360,59 +363,93 @@ def _panel_cases(green: GreenFunction, seed: int) -> dict[str, np.ndarray]:
     lo = rng.uniform(1.0, r_max - 1.0, 300)
     ulp = np.spacing(knots)
     near = rng.choice(knots, 64)
-
-    def rows(lo, hi, at=gauss):
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        return lo[:, None] + (hi - lo)[:, None] * at
-
     return {
         # every row inside one checkpoint interval
-        "intervals": rows(cps[:-1], cps[1:]),
+        "intervals": (cps[:-1], cps[1:], _GAUSS),
         # one panel per knot interval, as integrate() lays them; the POWER
         # rows' panels straddle fill checkpoints
-        "knot_panels": rows(edges[:-1], edges[1:]),
-        "fill_straddle": rows(fills - 0.01, fills + 0.01),
-        "random": rows(lo, lo + rng.uniform(0.0, 1.0, lo.size)),
+        "knot_panels": (edges[:-1], edges[1:], _GAUSS),
+        "fill_straddle": (fills - 0.01, fills + 0.01, _GAUSS),
+        "random": (lo, lo + rng.uniform(0.0, 1.0, lo.size), _GAUSS),
         # nodes on the knots, on r = 1 and on r_max
-        "end_on_knot": rows(edges[:-1], edges[1:], ends),
+        "end_on_knot": (edges[:-1], edges[1:], ends),
         # rows reaching r_max, and clipped into it from just above
-        "r_max": rows(
-            [r_max - 0.5, r_max - 1e-3, r_max * (1.0 - 1e-10)],
-            [r_max, r_max * (1.0 + 5e-10), r_max * (1.0 + 5e-10)],
+        "r_max": (
+            np.asarray([r_max - 0.5, r_max - 1e-3, r_max * (1.0 - 1e-10)]),
+            np.asarray([r_max, r_max * (1.0 + 5e-10), r_max * (1.0 + 5e-10)]),
             ends,
         ),
         # deep refinement: panels a few float spacings wide at a knot
-        "deep": np.concatenate(
-            [
-                rows(knots, knots + 4.0 * ulp),
-                rows(knots - 4.0 * ulp, knots),
-                rows(near - 2.0 * np.spacing(near), near + 2.0 * np.spacing(near)),
-            ]
+        "deep": (
+            np.concatenate([knots, knots - 4.0 * ulp, near - 2.0 * np.spacing(near)]),
+            np.concatenate([knots + 4.0 * ulp, knots, near + 2.0 * np.spacing(near)]),
+            _GAUSS,
         ),
     }
 
 
+def _rows(lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """One panel per row, its nodes ascending."""
+    return lo[:, None] + (hi - lo)[:, None] * at
+
+
+def _fused_rows(lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """One panel per row as integrate() lays them: its left half's, whole and right half's nodes."""
+    out = np.empty((lo.size, 3 * at.size))
+    _panel_rows(lo, hi, at, out)
+    return out
+
+
+def _crossed_rows(green: GreenFunction) -> np.ndarray:
+    """Rows of three ascending blocks, the middle one ending past a checkpoint, the last below it.
+
+    Their least node comes first, as the integrand's rows promise, but
+    their greatest is not their last; one per interior checkpoint, at
+    fill checkpoints 0.01 wide and at knots a few float spacings wide.
+    """
+    cps = green._r_tab[1:-1]
+    fill = ~np.isin(cps, green.profile.knots)
+    step = np.where(fill, 0.01, 4.0 * np.spacing(cps))
+    lo, hi, end = cps - 2.0 * step, cps + step, cps - 0.25 * step
+    mid = lo + 0.5 * (end - lo)
+    return np.hstack([_rows(lo, mid, _GAUSS), _rows(lo, hi, _GAUSS), _rows(mid, end, _GAUSS)])
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_panel_rows_match_one_lookup_per_node(m: int):
-    # a (panels, order) input is looked up at each row's first node and the
-    # row's operands are broadcast; G, sigma and sigma' must be the bits of
-    # one lookup per node, also on the rows that fall back
-    # to node-by-node lookups: across fill checkpoints, at and clipped into
-    # r_max (a POWER point, and a knot), and a few float spacings wide
+    # a (panels, c) input is looked up at each row's first node, its least,
+    # and the row's operands are broadcast; G, sigma and sigma' must be the
+    # bits of one lookup per node, also on the rows that fall back to
+    # node-by-node lookups: across fill checkpoints, at and clipped into
+    # r_max (a POWER point, and a knot), and a few float spacings wide.
+    # Each case comes as ascending rows and as integrate() lays a panel out,
+    # its three rules side by side; crossed rows reach the next checkpoint
+    # only before their last block
     green = sawtooth_green(m, 3.0, 64)
     prof = green.profile
     for table in (green, GreenFunction(prof, r_max=float(prof.knots[-3]))):
-        cases = _panel_cases(table, m)
-        cases["all"] = np.concatenate(list(cases.values()))
-        first, last = (np.searchsorted(table._r_tab, cases["fill_straddle"][:, j]) for j in (0, -1))
-        assert np.all(first != last)
+        cases = {}
+        for name, panels in _panel_cases(table, m).items():
+            cases[name] = _rows(*panels)
+            cases[f"{name}_fused"] = _fused_rows(*panels)
+        cases["crossed"] = _crossed_rows(table)
+        for width in (8, 24):
+            same = [x for x in cases.values() if x.shape[1] == width]
+            cases[f"all_{width}"] = np.concatenate(same)
+        for name in ("fill_straddle", "fill_straddle_fused", "crossed"):
+            x = cases[name]
+            nxt = table._r_tab[np.searchsorted(table._r_tab, x[:, 0], side="right")]
+            assert np.all(x.max(axis=1) >= nxt), name
+        assert np.all(x[:, -1] < nxt)
         assert cases["r_max"].max() > table.r_max
         # a row inside one checkpoint interval is looked up once, a split
         # row node by node
-        x = cases["intervals"]
-        assert table._lookup(x)[1].shape == (len(x), 1)
-        x = cases["fill_straddle"]
-        assert table._lookup(x)[1].shape == x.shape
+        for name in ("intervals", "intervals_fused"):
+            x = cases[name]
+            assert table._lookup(x)[1].shape == (len(x), 1), name
+        for name in ("fill_straddle", "fill_straddle_fused", "crossed"):
+            x = cases[name]
+            assert table._lookup(x)[1].shape == x.shape, name
         for name, x in cases.items():
             _assert_value_sigma_is_per_node(table, x, name)
             # rows inside [1, r_max) alone take the table's rows, not the

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import czwarp.norms as norms_module
+import czwarp.quadrature as quadrature
 from czwarp.experiment import ExperimentConfig, build_construction
 from czwarp.green import DELTA_UNIVERSAL, GreenFunction, find_h
 from czwarp.norms import (
@@ -22,7 +23,7 @@ from czwarp.norms import (
     audit_norm_chain,
     norms_report,
 )
-from czwarp.quadrature import QuadratureSpec, integrate
+from czwarp.quadrature import QuadratureSpec, _batches, integrate
 from czwarp.warping import (
     BLEND,
     LINEAR,
@@ -264,8 +265,12 @@ def test_trace_inequality(m: int, p: float):
     assert lap <= m ** (p / 2.0) * hess * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("n", [4, 64, 256])
+# (m, n), with m = 2, n = 2^15 last: the tightest cell of the sweep grid,
+# where the Hessian's slack is 0.0027
+LOG_CONVEX_CELLS = [(m, n) for n in (4, 64, 256) for m in (2, 3, 4)] + [(2, 2**15)]
+
+
+@pytest.mark.parametrize("m,n", LOG_CONVEX_CELLS, ids=[f"{n}-{m}" for m, n in LOG_CONVEX_CELLS])
 def test_norms_are_log_convex_in_p(m: int, n: int):
     # Lyapunov's inequality: p -> log ||f||_p^p is convex for one f and one
     # measure, and 2 = 0.8 * 1.5 + 0.2 * 4, so M_2 <= M_1.5^0.8 * M_4^0.2
@@ -560,12 +565,15 @@ def test_golden_numbers(m: int, p: float, n: int):
 
 
 # sha256 of the raw bytes of _fields' five outputs, signed zeros included,
-# on every depth-0 node array norms_report's pass hands its integrand
-# (calls of up to 2048 panel rows over the ramps, the plateau and the
-# window), on one call of those calls' rows off the plateau, on one of
-# those rows and three plateau rows, and on one flat call over a stride of
-# every node and the blend midpoints; k = 3.  Recorded before plateau rows
-# skipped the cutoff; any change to the field kernel's arithmetic moves them
+# on every depth-0 node array norms_report's pass hands its integrand, split
+# back into the calls of one rule each that the pass made when these were
+# recorded (whole, left half and right half of each batch of up to 2048
+# panels over the ramps, the plateau and the window, packed into calls of
+# up to 2048 rows), on one call of those calls' rows off the plateau, on
+# one of those rows and three plateau rows, and on one flat call over a
+# stride of every node and the blend midpoints; k = 3.  Recorded before
+# plateau rows skipped the cutoff; any change to the field kernel's
+# arithmetic moves them
 FIELDS_DIGESTS = {
     (2, 1): "8e50997950c4551eee20abb80eaa3de077a1666d28c9e466e59e97cf8c4b1959",
     (2, 64): "455a61a50828a42ecde04bd378c4e53af469deeca91e9349fa6969030302fbb8",
@@ -593,17 +601,43 @@ def fields_digest(tf: TestFunction, spec: QuadratureSpec, monkeypatch) -> str:
     with monkeypatch.context() as patch:
         patch.setattr(norms_module, "integrate", recording)
         norms_report(tf, (2.0,), spec)
-    rows = np.concatenate(calls)
+    # each row holds one panel's left-half, whole and right-half nodes
+    fields = [tf._fields(x) for x in calls]
+    for x, out in zip(calls, fields):
+        assert all(v.shape == x.shape for v in out)
+    panels = np.concatenate(calls).reshape(-1, 3, spec.base_order)
+    outs = [np.concatenate(v).reshape(panels.shape) for v in zip(*fields)]
+    # the one-rule calls: blocks (batch, rule) in the order whole, left,
+    # right, packed in order into calls of up to 2048 rows, from batches
+    # of up to 2048 panels
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_CHUNK", 2048)
+        batches = _batches(len(panels))
+    blocks: list[list[tuple[slice, int]]] = []
+    size = 2048
+    for sl in batches:
+        for rule in (1, 0, 2):
+            if size + sl.stop - sl.start > 2048:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((sl, rule))
+            size += sl.stop - sl.start
+    digest = hashlib.sha256()
+    for call in blocks:
+        for v in outs:
+            digest.update(np.concatenate([v[sl, rule] for sl, rule in call]).tobytes())
+    rows = np.concatenate([panels[sl, rule] for call in blocks for sl, rule in call])
     d = tf.cutoff.delta
     lo, hi = tf.green.inverse_many(tf.k + np.asarray([d, 1.0 - d]))
     off = (rows[:, 0] < lo) | (rows[:, -1] > hi)
-    calls += [rows[off], np.concatenate([rows[off], rows[~off][:3]])]
     # the flat call adds every corner blend's midpoint, where sigma' of a
     # symmetric apex is exactly zero
     t0, t1 = tf.green.profile.blend_spans_in(tf.r_lo, tf.r_hi).T
-    calls.append(np.concatenate([rows.ravel()[::5], t0 + 0.5 * (t1 - t0)]))
-    digest = hashlib.sha256()
-    for x in calls:
+    for x in (
+        rows[off],
+        np.concatenate([rows[off], rows[~off][:3]]),
+        np.concatenate([rows.ravel()[::5], t0 + 0.5 * (t1 - t0)]),
+    ):
         for v in tf._fields(x):
             assert v.shape == x.shape
             digest.update(v.tobytes())

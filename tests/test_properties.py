@@ -4,6 +4,8 @@ Each drawn cell (m, k, n) is built by build_construction and must keep:
 the profile inside the strip t^alpha <= sigma <= (t+1)^alpha, value and
 slope continuity at every knot, G strictly increasing with inverse(G(r)) = r,
 and the footprint mapped into the plateau image [k + delta, k + 1 - delta].
+Up to the fit limit and past it, every cell either builds and passes its
+strip and envelope audits or raises one of the named construction errors.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from czwarp.experiment import ExperimentConfig, build_construction  # noqa: E402
-from czwarp.green import DELTA_UNIVERSAL  # noqa: E402
-from czwarp.warping import audit_strip  # noqa: E402
+from czwarp.green import (  # noqa: E402
+    DELTA_UNIVERSAL,
+    GreenTableNotIncreasing,
+    OutOfRange,
+    WindowTooNarrow,
+    audit_green_bounds,
+)
+from czwarp.warping import CubeDoesNotFit, audit_strip  # noqa: E402
 from knot_gaps import knot_mismatches  # noqa: E402
 
 
@@ -56,3 +64,26 @@ def test_construction_invariants(m, k, n):
 
 def test_construction_invariants_at_two_to_the_seventeen():
     check_construction(3, 3.0, 2**17)
+
+
+# what a cell past the fit limit may raise instead of building
+NAMED_ERRORS = (CubeDoesNotFit, GreenTableNotIncreasing, WindowTooNarrow, OutOfRange)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    m=st.integers(2, 10),
+    k=st.floats(1.0, 30.0, allow_nan=False),
+    n=st.integers(1, 4096),
+)
+def test_every_cell_builds_and_passes_its_audits_or_raises_a_named_error(m, k, n):
+    # every dimension the construction claims, past where the cube fits
+    cfg = ExperimentConfig(m=m, p=2.0, k=k, n_teeth=n)
+    try:
+        _, _, green, r_max = build_construction(cfg)
+    except NAMED_ERRORS:
+        return
+    strip = audit_strip(green.profile, 1.0, r_max, samples=cfg.strip_samples)
+    assert strip.overall_pass, strip.failures()
+    envelope = audit_green_bounds(green, samples=cfg.envelope_samples)
+    assert envelope.overall_pass, envelope.failures()

@@ -17,6 +17,7 @@ from czwarp.quadrature import (
     BoundAudit,
     QuadratureNotConverged,
     QuadratureSpec,
+    _row_max,
     integrate,
 )
 
@@ -99,7 +100,8 @@ def test_deterministic_bit_for_bit():
 
 def test_vectorized_integrand_contract():
     # the integrand gets one panel's nodes per row of a C-contiguous float64
-    # (panels, base_order) array, each row sorted ascending, at every depth
+    # (panels, 3 * base_order) array at every depth: its left half's, whole
+    # and right half's rule nodes, three blocks each sorted ascending
     def f(x):
         calls.append(x.copy())
         assert x.dtype == np.float64 and x.flags.c_contiguous
@@ -116,9 +118,31 @@ def test_vectorized_integrand_contract():
         # halves of bisected panels: a refinement pass ran
         assert min(np.ptp(x, axis=1).min() for x in calls) < 0.25 * (breaks[1] - breaks[0])
         for x in calls:
-            assert x.ndim == 2 and x.shape[1] == order
-            assert np.all(np.diff(x, axis=1) > 0.0)
+            assert x.ndim == 2 and x.shape[1] == 3 * order
+            assert np.all(np.diff(x.reshape(-1, 3, order), axis=2) > 0.0)
             assert x.min() > 0.0 and x.max() < 2.0
+
+
+def test_sliver_rows_ascend_block_by_block():
+    # on 128-float-spacing slivers, the width of the norms' corner blends,
+    # each block of a row still ascends, and the row's first node is its
+    # least and _row_max its greatest, as the field kernel's lookup assumes
+    starts = np.sort(np.random.default_rng(3).uniform(1.0, 1e4, 200))
+    slivers = np.stack([starts, starts + 128.0 * np.spacing(starts)], axis=1)
+    for order in (8, 16):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.cos(x)
+
+        integrate(f, 0.5, 2e4, spec=QuadratureSpec(base_order=order), slivers=slivers)
+        x = np.concatenate(calls)
+        sliver = x.max(axis=1) - x[:, 0] <= 128.0 * np.spacing(x[:, 0])
+        assert np.count_nonzero(sliver) == len(slivers)
+        assert np.all(np.diff(x.reshape(-1, 3, order), axis=2) >= 0.0)
+        assert np.array_equal(x[:, 0], x.min(axis=1))
+        assert np.array_equal(_row_max(x), x.max(axis=1))
 
 
 def test_flat_integrand_gives_the_same_bits():
@@ -335,9 +359,9 @@ def test_multi_batch_pass_runs_on_the_calling_thread(monkeypatch):
     reference = _hex(integrate(_three_columns(one_batch), 0.0, 1.0, **kwargs))
     monkeypatch.setattr("czwarp.quadrature._CHUNK", 8)
     assert _hex(integrate(_three_columns(batched), 0.0, 1.0, **kwargs)) == reference
-    # batched, depth 0 alone takes more than 3 * 45 / 8 calls, and refinement more
-    assert one_batch[0][1] == 3 * 45 and len(one_batch) > 1
-    assert max(rows for _, rows in batched) <= 8 and len(batched) > 3 * 45 // 8
+    # batched, depth 0 alone takes more than 45 / 8 calls, and refinement more
+    assert one_batch[0][1] == 45 and len(one_batch) > 1
+    assert max(rows for _, rows in batched) <= 8 and len(batched) > 45 // 8
     assert {thread for thread, _ in one_batch + batched} == {threading.get_ident()}
     assert set(threading.enumerate()) == before
 
