@@ -440,6 +440,7 @@ def test_panel_rows_match_one_lookup_per_node(m: int):
             x = cases[name]
             nxt = table._r_tab[np.searchsorted(table._r_tab, x[:, 0], side="right")]
             assert np.all(x.max(axis=1) >= nxt), name
+        # and the crossed rows, the loop's last case, end below it
         assert np.all(x[:, -1] < nxt)
         assert cases["r_max"].max() > table.r_max
         # a row inside one checkpoint interval is looked up once, a split
