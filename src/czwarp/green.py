@@ -216,38 +216,31 @@ class GreenFunction:
     def s_max(self) -> float:
         return float(self._g_tab[-1])
 
-    def _lookup(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(x, idx, edge): r clipped into [1, r_max], and the checkpoint interval of its rows.
+    def _lookup(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, idx, odd): r clipped into [1, r_max], each row's checkpoint interval, the odd rows.
 
         r is flat, one node per row, or holds nodes in rows, shape (R, c),
         such as an integrand's panels: each row ascends, or is three
         ascending blocks laid out as quadrature._panel_rows lays them, with
         the row's least node first.  A row is looked up at its first node
-        only, and its greatest node (quadrature._row_max) is compared with
-        the next checkpoint: rounding is monotone, so when the greatest
-        node lies below it, every node of the row lies in the first node's
-        interval, and idx names it once per row, as an (R, 1) column.  A
-        row that reaches the next checkpoint, on a POWER row with fill
-        checkpoints, is looked up node by node, and idx is then shaped like
-        r.  edge says that some radius is r_max itself or was clipped in
-        from just outside, where the table's interval does not name the
-        profile row that holds it.
+        only: idx is flat for a flat r and an (R, 1) column for a 2-D one.
+        odd lists the rows that interval does not serve: a row whose
+        greatest node (quadrature._row_max) reaches the next checkpoint,
+        on a POWER row with fill checkpoints; a row holding r_max, whose
+        profile row the last interval need not name; and a row with a
+        radius clipped in from just outside [1, r_max].  Rounding is
+        monotone, so every other row lies in its first node's interval.
         """
         x = _clip_checked(r, 1.0, self.r_max, f"radius {{!r}} outside [1, {self.r_max!r}]")
         if x.ndim == 2:
             idx = _interval(self._r_tab, x[:, :1])
-            # the greatest node shares the first's interval unless it reaches
-            # the next checkpoint; the last interval takes everything up to r_max
-            first = idx[:, 0]
-            split = np.flatnonzero(
-                (_row_max(x) >= self._r_tab[first + 1]) & (first < self._r_tab.size - 2)
-            )
-            if split.size:
-                idx = np.repeat(idx, x.shape[1], axis=1)
-                idx[split] = _interval(self._r_tab, x[split])
+            top, least = _row_max(x), r[:, 0]
         else:
             idx = _interval(self._r_tab, x)
-        return x, idx, x is not r or bool(r.size and r.max() >= self.r_max)
+            top, least = x, r
+        # the last interval's next checkpoint is r_max itself
+        odd = np.flatnonzero((top >= self._r_tab[idx.reshape(-1) + 1]) | (least < 1.0))
+        return x, idx, odd
 
     def _value_sigma(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(G, sigma, sigma') at radii r, shaped like r, from one lookup and one partition.
@@ -255,16 +248,28 @@ class GreenFunction:
         r is as _lookup takes it.  The rows are split by kind class once
         (_by_kind), and each class's part gets G and then sigma and sigma'
         from WarpingProfile._eval_rows on its own profile rows: a part of
-        one piece kind runs without a second gather.  When a radius is at
-        an edge (see _lookup), G comes from the table as in value_many, and
-        sigma and sigma' from the profile rows piece_index names, node by
-        node; both ways give the bits of value_many and eval_many.
+        one piece kind runs without a second gather.  The odd rows (see
+        _lookup) go node by node instead: G from value_many, and sigma and
+        sigma' from the profile rows piece_index names, as eval_many takes
+        them; both ways give the bits of value_many and eval_many.
         """
-        x, idx, edge = self._lookup(r)
-        if not edge:
+        x, idx, odd = self._lookup(r)
+        if not odd.size:
             return _by_kind(self._kinds, 3, self._value_sigma_of, idx, x)
-        g = self._g_tab[idx] + self._partial(idx, x)
-        return (g, *self.profile._eval_rows(self.profile.piece_index(r), r, derivs=1))
+        plain = np.delete(np.arange(len(x)), odd)
+        part = _by_kind(
+            self._kinds, 3, self._value_sigma_of, idx.take(plain, axis=0), x.take(plain, axis=0)
+        )
+        ro = r.take(odd, axis=0).ravel()
+        sigma = self.profile._eval_rows(self.profile.piece_index(ro), ro, derivs=1)
+        nodes = (self.value_many(ro), *sigma)
+        # allocated once the plain rows' part is done; allocated before it,
+        # they raised a call's peak memory by about a quarter (tracemalloc)
+        outs = tuple(np.empty(x.shape) for _ in range(3))
+        for out, v, w in zip(outs, part, nodes):
+            out[plain] = v
+            out[odd] = w.reshape(-1, *x.shape[1:])
+        return outs
 
     def _value_sigma_of(self, kind: int, idx: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
         """_value_sigma on intervals that are all of one kind class.

@@ -9,11 +9,11 @@ component sigma' u' / sigma.
 Norms use the rotationally invariant weight: ||f||_p^p is gamma_m times the
 integral of |f|^p sigma^(m-1) dr over the support bracket.  One fixed kernel,
 TestFunction._fields, gives u, the collapsed Laplacian, both Hessian
-eigenvalues and sigma per node from one Green lookup, one partition of its
-rows by kind for G and sigma together, and one class per row: a panel
-wholly on the plateau takes phi = s, phi' = 1, phi'' = 0 without the
-cutoff, with the same bits as through it.  norms_report
-integrates the three norms of each p it is given as columns of one pass, and
+eigenvalues and sigma per node from one Green lookup per row, one partition
+of its rows by kind for G and sigma together, and one class per row: a
+panel wholly on the plateau takes phi = s, phi' = 1, phi'' = 0 without the
+cutoff, with the same bits as through it.  norms_report integrates the
+three norms of each p it is given as columns of one pass, and
 audit_norm_chain bounds the u and Laplacian masses I_u = ||u||_p^p / gamma_m
 and I_lap = ||Delta u||_p^p / gamma_m, which it reads from a norms_report,
 so the chain bounds the very numbers the inequality uses.
@@ -134,11 +134,9 @@ class TestFunction:
         on the plateau [delta, 1 - delta] takes phi = s, phi' = 1, phi'' = 0
         without the cutoff (_plateau_fields); every other row takes
         CutoffFunction.eval_many (_ramp_fields), whose formulas give a
-        plateau row the same bits.  A call mostly on the plateau gathers
-        its other rows for _ramp_fields and writes their fields over those
-        _plateau_fields gives the whole call; any other call runs
-        _ramp_fields on every row.  A call of one class runs without a
-        gather or a scatter.
+        plateau row the same bits.  A call with no plateau row runs
+        _ramp_fields alone; any other runs _plateau_fields on every row and
+        writes over its other rows their fields from a gather of them.
         """
         r = np.asarray(r, dtype=float)
         x = r if r.ndim == 2 else np.ravel(r)
@@ -154,21 +152,17 @@ class TestFunction:
         if plateau.any() and not (s.min() >= d and s.max() <= 1.0 - d):
             plateau &= functools.reduce(np.minimum, cols) >= d
             plateau &= functools.reduce(np.maximum, cols) <= 1.0 - d
-        on = np.count_nonzero(plateau)
-        if on == plateau.size:
-            fields = self._plateau_fields(s, sigma, dsigma)
-        elif 2 * on < plateau.size:
-            # the cutoff's formulas give the plateau rows their bits too, and
-            # cost less than a gather and scatter of the other rows
+        if not plateau.any():
             fields = self._ramp_fields(s, sigma, dsigma)
         else:
             # the plateau's formulas on every row, then the other rows' own
             # from a gather of those rows; sigma needs no copy back
-            ramp = np.flatnonzero(~plateau)
-            part = self._ramp_fields(*(v.take(ramp, axis=0) for v in (s, sigma, dsigma)))
             fields = self._plateau_fields(s, sigma, dsigma)
-            for out, v in zip(fields[:4], part):
-                out[ramp] = v
+            ramp = np.flatnonzero(~plateau)
+            if ramp.size:
+                part = self._ramp_fields(*(v.take(ramp, axis=0) for v in (s, sigma, dsigma)))
+                for out, v in zip(fields[:4], part):
+                    out[ramp] = v
         return tuple(v.reshape(r.shape) for v in fields)
 
     def _ramp_fields(self, s: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray):

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import BoundAudit, _row_max
+from .quadrature import BoundAudit
 
 __all__ = [
     "CAP",
@@ -52,8 +52,6 @@ __all__ = [
 ]
 
 POWER, LINEAR, CAP, BLEND = 0, 1, 2, 3
-# _by_kind's part of rows split across table rows, after every kind
-_SPLIT = 4
 
 STRIP_TOL = 1e-12
 
@@ -176,33 +174,20 @@ def _by_kind(
 ) -> tuple[np.ndarray, ...]:
     """fn(kind, idx, x, *args) run once per kind of kinds[idx] present, on the rows of that kind.
 
-    x is flat, one node per row, or holds nodes in rows, shape (R, c),
-    laid out as GreenFunction._lookup takes them: the row's least node
-    first and its greatest at quadrature._row_max.  idx names the table
-    row (of kinds and of the caller's other columns) that holds each
-    node: shaped like x, or for rows of nodes one per row as an (R, 1)
-    column.  Table rows increase with the node, so a row of x whose least
-    and greatest nodes share a table row lies wholly inside it.  fn gets
-    such rows with their index as an (R', 1) column, so it gathers each
-    row's operands once and broadcasts them over the row's nodes.  The
-    other rows, split across table rows, form one more part of their
-    own, which runs flat, one node per row.  fn returns width arrays
-    shaped like its x, which are put back in place.  Rows are gathered
-    with ndarray.take along the first axis, which copies a row of nodes
-    about twice as fast as indexing x[sel].  When one kind covers every
-    row, fn's result is returned without a gather or a scatter; an empty
-    input counts as POWER.
+    x is flat, one node per row, or holds nodes in rows, shape (R, c).
+    idx names the table row (of kinds and of the caller's other columns)
+    of each row: flat for a flat x, and an (R, 1) column for rows of
+    nodes, so fn gathers each row's operands once and broadcasts them
+    over the row's nodes.  fn returns width arrays shaped like its x,
+    which are put back in place.  Rows are gathered with ndarray.take
+    along the first axis, which copies a row of nodes about twice as fast
+    as indexing x[sel].  When one kind covers every row, fn's result is
+    returned without a gather or a scatter; an empty input counts as
+    POWER.
     """
-    full = idx
-    if idx.ndim == 2:
-        idx = idx[:, :1]
     row_kinds = kinds[idx].reshape(-1)
-    if full.ndim == 2 and full.shape[1] > 1:
-        split = idx[:, 0] != _row_max(full)
-        if np.any(split):
-            row_kinds = np.where(split, _SPLIT, row_kinds)
     first = int(row_kinds[0]) if row_kinds.size else POWER
-    if first != _SPLIT and np.all(row_kinds == first):
+    if np.all(row_kinds == first):
         return fn(first, idx, x, *args)
     # the outputs are allocated before any part is computed; allocated
     # after the first part, they left the heap fragmented and raised the
@@ -210,11 +195,7 @@ def _by_kind(
     outs = tuple(np.empty(x.shape) for _ in range(width))
     for kind in np.flatnonzero(np.bincount(row_kinds)):
         sel = np.flatnonzero(row_kinds == kind)
-        if kind == _SPLIT:
-            flat = (full.take(sel, axis=0).ravel(), x.take(sel, axis=0).ravel())
-            part = [v.reshape(sel.size, -1) for v in _by_kind(kinds, width, fn, *flat, *args)]
-        else:
-            part = fn(int(kind), idx.take(sel, axis=0), x.take(sel, axis=0), *args)
+        part = fn(int(kind), idx.take(sel, axis=0), x.take(sel, axis=0), *args)
         for out, v in zip(outs, part):
             out[sel] = v
     return outs
@@ -368,12 +349,12 @@ class WarpingProfile:
 
         The kernel behind every sigma evaluation: each piece kind runs once,
         on its own rows (_by_kind).  t is flat, one node per row, or holds
-        nodes in rows, shape (R, c), laid out as GreenFunction._lookup
-        takes them, such as an integrand's panels.  rows names the piece
-        row of each node, shaped like t, or one per row of a 2-D t as an
-        (R, 1) column: piece_index(t) or a caller's own lookup of the same
-        rows.  Returns arrays shaped like t; for a 2-D t, sigma' on LINEAR
-        rows may be a read-only broadcast of their slopes.
+        nodes in rows, shape (R, c), such as an integrand's panels, each
+        inside one piece row.  rows names the piece row of each row of t,
+        flat for a flat t (piece_index(t) or a caller's own lookup of the
+        same rows), and as an (R, 1) column for a 2-D t.  Returns arrays
+        shaped like t; for a 2-D t, sigma' on LINEAR rows may be a
+        read-only broadcast of their slopes.
         """
         return _by_kind(self.piece_kinds, derivs + 1, self._piece, rows, t, derivs)
 

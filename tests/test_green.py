@@ -319,20 +319,21 @@ def _assert_value_sigma_is_per_node(green: GreenFunction, x: np.ndarray, name: s
 def test_table_rows_are_the_profile_rows():
     # sigma is evaluated on the rows of the Green table's lookup; they must
     # be the rows piece_index names at every checkpoint and just below it,
-    # and r_max when it is a knot and a radius just below r = 1 take the
-    # edge branch, which evaluates sigma on piece_index's rows
+    # and r_max when it is a knot and a radius just below r = 1 are odd
+    # rows, which evaluate sigma on piece_index's rows
     prof = sawtooth_green(2, 2.0, 8).profile
     r_max = float(prof.knots[-3])
     green = GreenFunction(prof, r_max=r_max)
     assert prof.piece_index(np.asarray([r_max]))[0] != green._rows[-1]
     cps = green._r_tab
     interior = np.concatenate([cps[:-1], np.nextafter(cps[1:], -np.inf)])
-    _, idx, edge = green._lookup(interior)
-    assert not edge
+    _, idx, odd = green._lookup(interior)
+    assert odd.size == 0
     np.testing.assert_array_equal(green._rows[idx], prof.piece_index(interior))
     outer = np.asarray([r_max, np.nextafter(1.0, 0.0)])
     for r in outer:
-        assert green._lookup(np.asarray([r]))[2]
+        assert green._lookup(np.asarray([r]))[2].tolist() == [0]
+        assert green._lookup(np.asarray([[r]]))[2].tolist() == [0]
     for r in (interior, outer):
         _assert_value_sigma_is_per_node(green, r[:, None])
 
@@ -443,22 +444,52 @@ def test_panel_rows_match_one_lookup_per_node(m: int):
         # and the crossed rows, the loop's last case, end below it
         assert np.all(x[:, -1] < nxt)
         assert cases["r_max"].max() > table.r_max
-        # a row inside one checkpoint interval is looked up once, a split
-        # row node by node
-        for name in ("intervals", "intervals_fused"):
-            x = cases[name]
+        # every row is looked up once, at its first node; a row inside one
+        # checkpoint interval is not odd, and a split row, a row at r_max
+        # and one clipped into it are
+        for name, x in cases.items():
             assert table._lookup(x)[1].shape == (len(x), 1), name
-        for name in ("fill_straddle", "fill_straddle_fused", "crossed"):
+        for name in ("intervals", "intervals_fused"):
+            assert table._lookup(cases[name])[2].size == 0, name
+        for name in ("fill_straddle", "fill_straddle_fused", "crossed", "r_max", "r_max_fused"):
             x = cases[name]
-            assert table._lookup(x)[1].shape == x.shape, name
+            assert table._lookup(x)[2].tolist() == list(range(len(x))), name
         for name, x in cases.items():
             _assert_value_sigma_is_per_node(table, x, name)
-            # rows inside [1, r_max) alone take the table's rows, not the
-            # edge branch
+            # among rows inside [1, r_max), the odd rows are those whose
+            # greatest node reaches the next checkpoint
             inner = x[(x.min(axis=1) >= 1.0) & (x.max(axis=1) < table.r_max)]
             if inner.size:
-                assert not table._lookup(inner)[2], name
+                nxt = table._r_tab[np.searchsorted(table._r_tab, inner[:, 0], side="right")]
+                want = np.flatnonzero(inner.max(axis=1) >= nxt)
+                np.testing.assert_array_equal(table._lookup(inner)[2], want, err_msg=name)
                 _assert_value_sigma_is_per_node(table, inner, name)
+
+
+def test_only_odd_rows_go_node_by_node(monkeypatch):
+    # one call of plain rows, a row across a fill checkpoint and a row
+    # clipped into r_max: piece_index, which names sigma's rows on the
+    # node-by-node route, sees exactly the odd rows' nodes, unclipped, and
+    # every value keeps the bits of one lookup per node
+    green = sawtooth_green(2, 3.0, 64)
+    cps, r_max = green._r_tab, green.r_max
+    fill = np.setdiff1d(cps[1:-1], green.profile.knots)[3]
+    lo = np.concatenate([cps[:6], [fill - 0.01, r_max * (1.0 - 1e-10)], cps[6:12]])
+    hi = np.concatenate([cps[1:7], [fill + 0.01, r_max * (1.0 + 5e-10)], cps[7:13]])
+    x = _fused_rows(lo, hi, _GAUSS)
+    assert x[6, 0] < fill < x[6].max() and x[7].max() > r_max
+    assert np.array_equal(green._lookup(x)[2], [6, 7])
+    _assert_value_sigma_is_per_node(green, x)
+    seen = []
+    piece_index = WarpingProfile.piece_index
+
+    def recording(self, t):
+        seen.append(np.array(t))
+        return piece_index(self, t)
+
+    monkeypatch.setattr(WarpingProfile, "piece_index", recording)
+    green._value_sigma(x)
+    assert np.concatenate(seen).tobytes() == x[6:8].tobytes()
 
 
 @pytest.mark.parametrize("m,k,n", [(6, 14.5, 1), (4, 11.0, 4096)])

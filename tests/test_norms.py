@@ -256,6 +256,46 @@ def test_sigma_evaluated_once_per_node(monkeypatch, route: str):
     assert counts["sigma_outside"] == counts["eval_many_outside"] == 0
 
 
+def test_cutoff_runs_on_the_rows_off_the_plateau_only(monkeypatch):
+    # a call of ramp rows and three plateau rows sends only its ramp rows'
+    # nodes to the cutoff, and an all-ramp call every node; the plateau
+    # rows take their fields from the plateau's formulas, with the bits
+    # the cutoff's give them
+    tf = sawtooth_tf(2, 2.0, 8)
+    d = tf.cutoff.delta
+    at = np.polynomial.legendre.leggauss(8)[0] * 0.5 + 0.5
+
+    def rows(s0: float, s1: float, count: int) -> np.ndarray:
+        edges = tf.green.inverse_many(tf.k + np.linspace(s0, s1, count + 1))
+        return edges[:-1, None] + np.diff(edges)[:, None] * at
+
+    ramp = np.concatenate([rows(0.0, d, 16), rows(1.0 - d, 1.0, 16)])
+    plateau = rows(0.4, 0.6, 3)
+    mixed = np.concatenate([ramp, plateau])
+    seen = []
+    eval_many = CutoffFunction.eval_many
+
+    def counting(self, s):
+        seen.append(np.size(s))
+        return eval_many(self, s)
+
+    monkeypatch.setattr(CutoffFunction, "eval_many", counting)
+    alone = tf._fields(ramp)
+    assert seen == [ramp.size]
+    seen.clear()
+    fields = tf._fields(mixed)
+    assert seen == [ramp.size]
+    seen.clear()
+    on = tf._fields(plateau)
+    assert seen == []
+    monkeypatch.undo()
+    g, sigma, dsigma = tf.green._value_sigma(plateau)
+    through_cutoff = tf._ramp_fields(g - tf.k, sigma, dsigma)
+    for v, a, b, c in zip(fields, alone, on, through_cutoff):
+        assert v.tobytes() == np.concatenate([a, b]).tobytes()
+        assert b.tobytes() == c.tobytes()
+
+
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])
 def test_trace_inequality(m: int, p: float):
     # |Delta u| <= sqrt(m) * frame norm pointwise, so the norms inherit it
