@@ -10,13 +10,14 @@ Norms use the rotationally invariant weight: ||f||_p^p is gamma_m times the
 integral of |f|^p sigma^(m-1) dr over the support bracket.  One fixed kernel,
 TestFunction._fields, gives u, the collapsed Laplacian, both Hessian
 eigenvalues and sigma per node from one Green lookup per row, one partition
-of its rows by kind for G and sigma together, and one class per row: a
-panel wholly on the plateau takes phi = s, phi' = 1, phi'' = 0 without the
-cutoff, with the same bits as through it.  norms_report integrates the
-three norms of each p it is given as columns of one pass, and
-audit_norm_chain bounds the u and Laplacian masses I_u = ||u||_p^p / gamma_m
-and I_lap = ||Delta u||_p^p / gamma_m, which it reads from a norms_report,
-so the chain bounds the very numbers the inequality uses.
+of its rows by kind for G and sigma together, and one class per row, read
+from its radii against the cutoff's transition radii: a panel wholly on the
+plateau takes phi = s, phi' = 1, phi'' = 0 without the cutoff, with the
+same bits as through it.  norms_report integrates the three norms of each
+p it is given as columns of one pass, and audit_norm_chain bounds the u
+and Laplacian masses I_u = ||u||_p^p / gamma_m and
+I_lap = ||Delta u||_p^p / gamma_m, which it reads from a norms_report, so
+the chain bounds the very numbers the inequality uses.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green import DELTA_UNIVERSAL, GreenFunction
-from .quadrature import BoundAudit, QuadratureSpec, _fsum, integrate
+from .quadrature import BoundAudit, QuadratureSpec, _fsum, _row_max, integrate
 from .warping import LINEAR, _smoothstep
 
 __all__ = [
@@ -48,7 +49,9 @@ class CutoffFunction:
     for that delta alone.  The four transitions are quadrature breakpoints,
     so each panel lies in one region; TestFunction._fields calls eval_many
     only on the rows that are not wholly on the plateau, where w = 1 and
-    phi = s exactly.
+    phi = s exactly.  Within _XCUT (1 %) of a ramp's width of its inner
+    end the ramp is clipped to w = 1 with zero derivatives, so a node that
+    G's rounding puts just off the plateau gets the plateau's bits too.
     """
 
     def __init__(self):
@@ -99,7 +102,11 @@ class CutoffFunction:
 
 
 class TestFunction:
-    """u(r) = phi(G(r) - k), supported where G(r) - k lies in (delta/2, 1 - delta/2)."""
+    """u(r) = phi(G(r) - k), supported where G(r) - k lies in (delta/2, 1 - delta/2).
+
+    _transitions holds the radii where G - k is delta/2, delta, 1 - delta
+    and 1 - delta/2: norms_report's breakpoints and _fields' plateau ends.
+    """
 
     __test__ = False  # keep pytest from collecting this despite the name
 
@@ -116,6 +123,8 @@ class TestFunction:
         self.green = green
         self.r_lo = green.inverse(self.k)
         self.r_hi = green.inverse(self.k + 1.0)
+        d = cutoff.delta
+        self._transitions = green.inverse_many(self.k + np.array([d / 2, d, 1 - d, 1 - d / 2]))
 
     def _fields(self, r: np.ndarray):
         """(u, Delta u, u'', sigma' u' / sigma, sigma) at r, from one lookup per row.
@@ -130,28 +139,22 @@ class TestFunction:
         integrand's panels with their three rules side by side, and each
         row is looked up once; any other r is one node per row.
 
-        Each row is then classed by s = G - k at every node.  A row wholly
-        on the plateau [delta, 1 - delta] takes phi = s, phi' = 1, phi'' = 0
-        without the cutoff (_plateau_fields); every other row takes
-        CutoffFunction.eval_many (_ramp_fields), whose formulas give a
-        plateau row the same bits.  A call with no plateau row runs
-        _ramp_fields alone; any other runs _plateau_fields on every row and
-        writes over its other rows their fields from a gather of them.
+        Each row is then classed by its least node x[:, 0] and its greatest
+        (quadrature._row_max), as _lookup reads them.  A row between the
+        plateau's radii Ginv(k + delta) and Ginv(k + 1 - delta) takes
+        phi = s, phi' = 1, phi'' = 0 without the cutoff (_plateau_fields);
+        every other row takes CutoffFunction.eval_many (_ramp_fields), which
+        gives a plateau row the same bits (see CutoffFunction).  A call with
+        no plateau row runs _ramp_fields alone; any other runs
+        _plateau_fields on every row and writes over its other rows their
+        fields from a gather of them.
         """
         r = np.asarray(r, dtype=float)
         x = r if r.ndim == 2 else np.ravel(r)
         s, sigma, dsigma = self.green._value_sigma(x)
         s -= self.k
-        d = self.cutoff.delta
-        # a row is on the plateau when every node is: both end nodes, and
-        # then, unless the whole call lies there, each row's least and
-        # greatest s, column against column (a reduction along rows of a
-        # few nodes costs several times more)
-        cols = (s if s.ndim == 2 else s[:, None]).T
-        plateau = (cols[0] >= d) & (cols[-1] <= 1.0 - d)
-        if plateau.any() and not (s.min() >= d and s.max() <= 1.0 - d):
-            plateau &= functools.reduce(np.minimum, cols) >= d
-            plateau &= functools.reduce(np.maximum, cols) <= 1.0 - d
+        least, top = (x[:, 0], _row_max(x)) if x.ndim == 2 else (x, x)
+        plateau = (least >= self._transitions[1]) & (top <= self._transitions[2])
         if not plateau.any():
             fields = self._ramp_fields(s, sigma, dsigma)
         else:
@@ -175,7 +178,7 @@ class TestFunction:
         return phi, d2phi * sigma ** (2 - 2 * m), d2u, dsigma * du / sigma, sigma
 
     def _plateau_fields(self, s: np.ndarray, sigma: np.ndarray, dsigma: np.ndarray):
-        """_ramp_fields on rows with s in [delta, 1 - delta] at every node, with the same bits.
+        """_ramp_fields on rows of the plateau, with the same bits.
 
         There the cutoff gives phi = s * 1, phi' = 1 + s * 0 and
         phi'' = 2 * 0 + s * 0, that is s, 1 and +0 exactly, so Delta u is
@@ -239,14 +242,12 @@ def norms_report(tf: TestFunction, ps: tuple, spec: QuadratureSpec) -> tuple[Nor
         del sigma
         return tuple(f**p * weight for p in ps for f in fields)
 
-    d = tf.cutoff.delta
-    transitions = tf.green.inverse_many(tf.k + np.asarray([0.5 * d, d, 1.0 - d, 1.0 - 0.5 * d]))
     knots = profile.knots_in(tf.r_lo, tf.r_hi)
     columns = integrate(
         integrand,
         tf.r_lo,
         tf.r_hi,
-        breakpoints=np.concatenate([transitions, knots]),
+        breakpoints=np.concatenate([tf._transitions, knots]),
         spec=spec,
         slivers=profile.blend_spans_in(tf.r_lo, tf.r_hi),
     ).columns

@@ -81,8 +81,13 @@ class ManifoldConfig:
         if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
             raise ValueError("dimension m must be an integer >= 2")
         m = int(m)
-        alpha = 1.0 / (m - 1)
-        gamma_m = 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+        try:
+            alpha = 1.0 / (m - 1)
+            gamma_m = 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+        except OverflowError:
+            raise ValueError(
+                f"dimension m = {m!r} is too large: Gamma(m/2) in gamma_m overflows from m = 344"
+            ) from None
         return cls(m=m, alpha=alpha, gamma_m=gamma_m)
 
 
@@ -640,6 +645,12 @@ def profile_from_json(data: dict) -> WarpingProfile:
     """Rebuild a profile from its serialized form (windows re-inserted in order)."""
     config = ManifoldConfig.from_dimension(int(data["m"]))
     profile = build_base_profile(config)
+    cap = profile_to_json(profile)["cap_coefficients"]
+    if data.get("cap_coefficients", cap) != cap:
+        raise ValueError(
+            f"cap_coefficients {data['cap_coefficients']!r} are not the cap of "
+            f"dimension m = {config.m}: {cap!r}"
+        )
     for wdata in sorted(data.get("windows", []), key=lambda d: d["z"]):
         window = SawtoothWindow(
             z=float(wdata["z"]),

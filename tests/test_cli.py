@@ -146,6 +146,14 @@ def test_violate_not_found_exits_two(capsys):
     assert json.loads(capsys.readouterr().out)["n_star"] is None
 
 
+def test_too_large_dimension_exits_one(capsys):
+    # gamma_m overflows from m = 344: a named error, not a traceback
+    assert main(["audit", "--m", "344", "--p", "2", "--k", "3", "--n", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: dimension m = 344 is too large: Gamma(m/2) in gamma_m overflows from m = 344\n"
+    )
+
+
 def test_violate_rejects_bad_ceiling(capsys):
     rc = main(["violate", "--m", "2", "--n-max", "0"])
     assert rc == 1

@@ -155,6 +155,23 @@ def test_search_not_found_below_ceiling():
     assert all(not r.violated for r in trace)
 
 
+def test_search_probes_a_ceiling_that_is_not_a_power_of_two():
+    # the doubling scan ends with a probe at n_max itself; at (m, p, k) =
+    # (4, 4, 3), n* = 130 with 129 clean (criterion 6's table)
+    cfg = replace(BASE, m=4, p=4.0)
+    doubling = [1, 2, 4, 8, 16, 32, 64]
+    for n_max, found, probed in (
+        (100, None, doubling + [100]),
+        (129, None, doubling + [128, 129]),
+        (130, 130, doubling + [128, 130, 129]),
+        (200, 130, doubling + [128, 200, 130, 129]),
+    ):
+        n_star, trace = search_min_n(cfg, n_max)
+        assert n_star == found
+        assert [r.config.n_teeth for r in trace] == probed
+        assert [r.violated for r in trace] == [n >= 130 for n in probed]
+
+
 def test_search_weak_constants_finds_first_probe():
     n_star, trace = search_min_n(replace(BASE, C1=1e-3, C2=1e-3), 256)
     assert n_star == 1

@@ -296,6 +296,48 @@ def test_cutoff_runs_on_the_rows_off_the_plateau_only(monkeypatch):
         assert b.tobytes() == c.tobytes()
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_plateau_class_at_the_inner_transitions_keeps_the_cutoffs_bits(monkeypatch, m: int):
+    # a row is classed plateau by its radii: its least node at or above
+    # Ginv(k + delta), its greatest at or below Ginv(k + 1 - delta).  Its
+    # nodes then have s = G - k in [delta, 1 - delta] up to G's rounding,
+    # about 1e-14, and the cutoff clips every s within _XCUT of a ramp's
+    # width of the ramp's inner end to w = 1 with zero derivatives, so the
+    # cutoff route gives such a node phi = s, phi' = 1, phi'' = +0: the
+    # plateau formulas' bits.  At both radii, at the floats beside them and
+    # on rows that end or start there, the fields are the cutoff route's
+    # bytes, while the plateau-class rows skip the cutoff
+    tf = sawtooth_tf(m, 3.0, 64)
+    lo_r, hi_r = tf._transitions[1:3]
+    ends = np.array([lo_r, hi_r])
+    flat = np.stack([np.nextafter(ends, 0.0), ends, np.nextafter(ends, np.inf)], axis=1).ravel()
+    widths = np.array([4.0 * np.spacing(lo_r), 1e-3 * (hi_r - lo_r)])
+    start = np.concatenate([ends - widths[0], ends - widths[1], ends, ends])
+    stop = np.concatenate([ends, ends, ends + widths[0], ends + widths[1]])
+    rows = np.empty((start.size, 24))
+    quadrature._panel_rows(start, stop, np.linspace(0.0, 1.0, 8), rows)
+    assert np.array_equal(rows[:, 0], start) and np.array_equal(quadrature._row_max(rows), stop)
+    seen = []
+    eval_many = CutoffFunction.eval_many
+
+    def counting(self, s):
+        seen.append(np.size(s))
+        return eval_many(self, s)
+
+    for x, plateau in (
+        (flat, [False, True, True, True, True, False]),
+        (rows, [False, True, False, True, True, False, True, False]),
+    ):
+        g, sigma, dsigma = tf.green._value_sigma(x)
+        through_cutoff = tf._ramp_fields(g - tf.k, sigma, dsigma)
+        with monkeypatch.context() as patch:
+            patch.setattr(CutoffFunction, "eval_many", counting)
+            fields = tf._fields(x)
+        assert seen.pop() == x[~np.asarray(plateau)].size
+        for v, w in zip(fields, through_cutoff):
+            assert v.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])
 def test_trace_inequality(m: int, p: float):
     # |Delta u| <= sqrt(m) * frame norm pointwise, so the norms inherit it
@@ -440,6 +482,25 @@ def test_chain_floor_that_underflows_reads_minus_inf():
     audit = audit_norm_chain(sawtooth_tf(2, 3.0, 1), 700.0, SPEC)
     (floor,) = [e for e in audit.entries if e.name.startswith("tooth_mass_lower")]
     assert floor.worst_violation == -math.inf and floor.passed
+
+
+def test_chain_skips_a_window_outside_the_support():
+    # a second window at z = 100 lies past the support's end r_hi = 81.39
+    # but inside the table (r_max = 126.27): it adds no tooth-mass entry,
+    # and the chain's entries keep their bits
+    cfg = ExperimentConfig(m=2, p=2.0, k=3.0, n_teeth=4)
+    _, _, green, r_max = build_construction(cfg)
+    outside = plan_window(green.profile.config, 100.0, 4)
+    profile = insert_sawtooth(green.profile, outside)
+    one, two = (
+        TestFunction(cfg.k, CutoffFunction(), GreenFunction(prof, r_max=r_max))
+        for prof in (green.profile, profile)
+    )
+    assert len(profile.windows) == 2 and two.r_hi < outside.z < r_max
+    entries = [audit_norm_chain(tf, cfg.p, cfg.quad).entries for tf in (one, two)]
+    inside = green.profile.windows[0]
+    assert [e.name for e in entries[0]][2:] == [f"tooth_mass_lower[z={inside.z!r}]"]
+    assert repr(entries[1]) == repr(entries[0])
 
 
 @pytest.mark.parametrize("m,p", [(2, 2.5), (3, 1.5)])

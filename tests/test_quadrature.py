@@ -200,6 +200,17 @@ def test_interval_validation():
         integrate(np.exp, 0.0, math.inf)
 
 
+def test_overlapping_slivers_are_rejected():
+    # slivers are accepted unrefined, so two that overlap would count the
+    # overlap twice; slivers that only touch are disjoint
+    for slivers in ([(0.3, 0.5), (0.2, 0.4)], [(0.2, 0.5), (0.3, 0.4)]):
+        with pytest.raises(ValueError, match="slivers must be disjoint"):
+            integrate(np.exp, 0.0, 1.0, slivers=slivers)
+    touching = [(0.2, 0.2 + 1e-12), (0.2 + 1e-12, 0.2 + 2e-12)]
+    value, _ = integrate(np.exp, 0.0, 1.0, slivers=touching)
+    assert value == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
 def test_tight_tolerance_tracks_request():
     spec = QuadratureSpec(rel_tol=1e-13)
     value, err = integrate(lambda x: np.exp(x) * np.sin(3.0 * x), 0.0, 2.0)

@@ -48,6 +48,15 @@ def test_dimension_constants():
     assert abs(c5.gamma_m - 8.0 * math.pi**2 / 3.0) <= 1e-13
 
 
+def test_gamma_m_overflow_is_named():
+    # Gamma(m/2) overflows a float from m = 344 on; below that gamma_m is
+    # finite, though tiny
+    assert 0.0 < ManifoldConfig.from_dimension(343).gamma_m < 1e-222
+    for m in (344, 10**400):
+        with pytest.raises(ValueError, match=f"m = {m} is too large.*m = 344"):
+            ManifoldConfig.from_dimension(m)
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError):
         ManifoldConfig.from_dimension(1)
@@ -379,6 +388,20 @@ def test_json_rejects_zero_teeth_by_name():
     data["windows"][0]["n_teeth"] = 0
     with pytest.raises(ValueError, match="n_teeth must be >= 1"):
         profile_from_json(data)
+
+
+def test_json_rejects_a_cap_that_is_not_the_dimensions():
+    # the cap is rebuilt from m, so a document whose cap_coefficients differ
+    # from it, by any bit, describes a profile the loader would not build
+    cfg = ManifoldConfig.from_dimension(2)
+    data = profile_to_json(insert_sawtooth(build_base_profile(cfg), plan_window(cfg, 3.0, 2)))
+    cap = data["cap_coefficients"]
+    for edited in ([1.0, 2.0, 3.0], [math.nextafter(cap[0], 0.0), *cap[1:]]):
+        data["cap_coefficients"] = edited
+        with pytest.raises(ValueError, match="cap_coefficients"):
+            profile_from_json(data)
+    data["cap_coefficients"] = cap
+    assert profile_to_json(profile_from_json(data)) == data
 
 
 # sha256 over the bytes of piece_kinds, piece_t0, piece_t1 and piece_params
